@@ -5,7 +5,8 @@ averaging outer products over channels and draws estimates the covariance
 that the kernel recursion computes in closed form.  The estimate tightens
 as width grows, which is the whole reason the closed form is trustworthy.
 
-Run time is a few seconds; the width sweep dominates.
+Run time is about a second, mostly interpreter start-up and imports; the
+width sweep itself takes a few tenths of a second on one core.
 """
 
 import time

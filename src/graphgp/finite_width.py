@@ -6,6 +6,30 @@ averages z z^T over samples and over the width of the final pre-activation
 layer.  As the width grows the pooled estimate converges to the analytic
 kernel at the usual 1/sqrt(width) Monte-Carlo rate.
 
+Each Gaussian linear layer is drawn from its conditional distribution given
+the layer before it (the structure behind the NNGP construction of Lee et
+al. 2018 and Matthews et al. 2018).  A layer whose inputs are the n-row
+matrices m_k, each multiplied by its own weight of scale s_k, plus a bias
+of scale sigma_b, has output columns that are iid N(0, C) with
+
+    C = sum_k s_k^2 / fan_in_k * m_k m_k^T + sigma_b^2 * 1 1^T,
+
+so the output is F @ G for any F with F F^T = C and G standard normal.
+``_linear_draw`` picks F by shape alone:
+
+* the column factor [s_k / sqrt(fan_in_k) * m_k ..., sigma_b * 1], which is
+  n x k with k = sum_k fan_in_k (+1 with a bias).  This is the usual weight
+  draw, reorganised: it costs k x width normals and an n x k x width matmul.
+* an n x n root of C from its eigendecomposition, used when 4 n <= k.  It
+  costs n x width normals, an n x n x width matmul and an O(n^3) ``eigh``.
+  The rule keeps the column factor where the eigendecomposition would cost
+  more than the thinner draw saves: a width-4096 layer on an 8-node graph
+  draws 8 rows of normals instead of 4097, while on a Cora-sized graph
+  (n = 2708) the column factor stays.
+
+Either factor gives exactly the same finite-width distribution; only the
+draw values for a given seed depend on which one is used.
+
 Randomness is organized as one child seed sequence per (sample, layer), so
 results are bit-reproducible for a fixed seed regardless of how the sample
 loop might later be scheduled.
@@ -50,6 +74,8 @@ class McConfig:
             raise ValueError("depth and width must be positive")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
+        if min(self.sigma_b, self.sigma_w, self.sigma_w1, self.sigma_w2) < 0:
+            raise ValueError("sigma parameters must be nonnegative")
         if self.architecture == "gcnii" and len(self.beta_schedule) != self.depth:
             raise ValueError("gcnii needs one beta per layer")
 
@@ -58,57 +84,66 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0)
 
 
+def _linear_draw(terms, sigma_b: float, width: int, rng) -> np.ndarray:
+    """Output (n x width) of one Gaussian linear layer given its inputs.
+
+    ``terms`` lists the (m, s) pairs of the layer's independent weights, the
+    fan-in of each being the column count of its m; the bias has scale
+    ``sigma_b``.  The output is F @ G for a square root F of the conditional
+    covariance C, chosen by shape alone (see the module docstring): the
+    column factor [s / sqrt(fan_in) * m ..., sigma_b * 1], applied block by
+    block without forming it, or, when 4 n <= k, the n x n root of C from
+    ``eigh``.  The root's eigenvalues are clamped at 0; that removes only
+    roundoff, as C is PSD by construction, and keeps rank-deficient inputs
+    (duplicated nodes) finite.
+    """
+    n = terms[0][0].shape[0]
+    k = sum(m.shape[1] for m, _ in terms) + (sigma_b > 0)
+    if 4 * n <= k:
+        c = sum(s * s / m.shape[1] * (m @ m.T) for m, s in terms) + sigma_b**2
+        vals, vecs = np.linalg.eigh(c)
+        root = vecs * np.sqrt(np.maximum(vals, 0.0))
+        return root @ rng.standard_normal((n, width))
+    g = rng.standard_normal((k, width))
+    # the column factor, applied block by block in place, so that no n x k
+    # scaled copy of the inputs is made
+    out = sigma_b * g[-1] if sigma_b > 0 else 0.0
+    j = 0
+    for m, s in terms:
+        fan_in = m.shape[1]
+        block = m @ g[j:j + fan_in]
+        block *= s / np.sqrt(fan_in)
+        block += out
+        out = block
+        j += fan_in
+    return out
+
+
 def _forward(cfg: McConfig, a_csr, x0: np.ndarray, rngs) -> np.ndarray:
     """One network draw; returns the final pre-activation (n_nodes x width)."""
     d = cfg.width
-    if cfg.architecture in ("gcn", "mlp"):
+    if cfg.architecture == "gcnii":
+        # rngs[depth] is reserved for the base lift
+        h = _linear_draw([(x0, 1.0)], 0.0, d, rngs[cfg.depth])
+    else:
         h = x0
-        for l in range(cfg.depth):
-            rng = rngs[l]
-            fan_in = h.shape[1]
-            w = rng.normal(0.0, cfg.sigma_w / np.sqrt(fan_in), size=(fan_in, d))
-            b = rng.normal(0.0, cfg.sigma_b, size=(1, d)) if cfg.sigma_b > 0 else 0.0
-            inner = _relu(h) if l > 0 else h
-            h = a_csr @ (inner @ w) + b
-        return h
-
-    if cfg.architecture == "gin":
-        h = x0
-        for l in range(cfg.depth):
-            rng = rngs[l]
-            fan_in = h.shape[1]
-            w1 = rng.normal(0.0, cfg.sigma_w / np.sqrt(fan_in), size=(fan_in, d))
-            b1 = rng.normal(0.0, cfg.sigma_b, size=(1, d)) if cfg.sigma_b > 0 else 0.0
-            w2 = rng.normal(0.0, cfg.sigma_w / np.sqrt(d), size=(d, d))
-            b2 = rng.normal(0.0, cfg.sigma_b, size=(1, d)) if cfg.sigma_b > 0 else 0.0
-            inner = _relu(h) if l > 0 else h
-            mid = a_csr @ (inner @ w1) + b1
-            h = _relu(mid) @ w2 + b2
-        return h
-
-    if cfg.architecture == "sage":
-        h = x0
-        for l in range(cfg.depth):
-            rng = rngs[l]
-            fan_in = h.shape[1]
-            w_own = rng.normal(0.0, cfg.sigma_w1 / np.sqrt(fan_in), size=(fan_in, d))
-            w_neigh = rng.normal(0.0, cfg.sigma_w2 / np.sqrt(fan_in), size=(fan_in, d))
-            inner = _relu(h) if l > 0 else h
-            h = inner @ w_own + a_csr @ (inner @ w_neigh)
-        return h
-
-    # gcnii: rngs[depth] is reserved for the base lift
-    d0 = x0.shape[1]
-    base_rng = rngs[cfg.depth]
-    h = x0 @ base_rng.normal(0.0, 1.0 / np.sqrt(d0), size=(d0, d))
     for l in range(cfg.depth):
         rng = rngs[l]
-        skip = x0 @ rng.normal(0.0, 1.0 / np.sqrt(d0), size=(d0, d))
         inner = _relu(h) if l > 0 else h
-        mixed = (1.0 - cfg.alpha) * (a_csr @ inner) + cfg.alpha * skip
-        beta = cfg.beta_schedule[l]
-        w = rng.normal(0.0, cfg.sigma_w / np.sqrt(d), size=(d, d))
-        h = (1.0 - beta) * mixed + beta * (mixed @ w)
+        if cfg.architecture in ("gcn", "mlp"):
+            h = _linear_draw([(a_csr @ inner, cfg.sigma_w)], cfg.sigma_b, d, rng)
+        elif cfg.architecture == "gin":
+            mid = _linear_draw([(a_csr @ inner, cfg.sigma_w)], cfg.sigma_b, d, rng)
+            h = _linear_draw([(_relu(mid), cfg.sigma_w)], cfg.sigma_b, d, rng)
+        elif cfg.architecture == "sage":
+            h = _linear_draw([(inner, cfg.sigma_w1), (a_csr @ inner, cfg.sigma_w2)],
+                             0.0, d, rng)
+        else:
+            skip = _linear_draw([(x0, 1.0)], 0.0, d, rng)
+            mixed = (1.0 - cfg.alpha) * (a_csr @ inner) + cfg.alpha * skip
+            beta = cfg.beta_schedule[l]
+            lifted = _linear_draw([(mixed, cfg.sigma_w)], 0.0, d, rng)
+            h = (1.0 - beta) * mixed + beta * lifted
     return h
 
 

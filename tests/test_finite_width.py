@@ -11,6 +11,7 @@ from graphgp import (
     sage_exact,
     sample_covariance,
 )
+from graphgp.finite_width import _linear_draw
 
 from conftest import random_features, row_operator, sym_operator
 
@@ -26,6 +27,75 @@ def test_config_validation():
         McConfig("gcn", 2, 8, 0, seed=0)
     with pytest.raises(ValueError, match="one beta per layer"):
         McConfig("gcnii", 3, 8, 4, seed=0, beta_schedule=(0.5,))
+
+
+@pytest.mark.parametrize("field", ["sigma_b", "sigma_w", "sigma_w1", "sigma_w2"])
+def test_config_rejects_negative_scales(field):
+    with pytest.raises(ValueError, match="sigma parameters must be nonnegative"):
+        McConfig("gcn", 2, 8, 4, seed=0, **{field: -0.5})
+
+
+class _IdentityNormals:
+    """Stands in for a Generator: the "normals" are an identity matrix, so a
+    draw returns the square-root factor itself; records the rows asked for."""
+
+    def standard_normal(self, shape):
+        self.rows = shape[0]
+        return np.eye(*shape)
+
+
+def _factor(terms, sigma_b):
+    """The square root F a draw applies, padded with zero columns (F F^T is
+    unchanged), and the rows of normals asked for: k for the column factor,
+    n for the n x n root."""
+    n = terms[0][0].shape[0]
+    rng = _IdentityNormals()
+    f = _linear_draw(terms, sigma_b, n + sum(m.shape[1] for m, _ in terms) + 1, rng)
+    c = sum(s**2 / m.shape[1] * (m @ m.T) for m, s in terms) + sigma_b**2
+    return f, rng.rows, np.linalg.norm(f @ f.T - c) / np.linalg.norm(c)
+
+
+def test_column_factor_for_tall_inputs():
+    # 50 nodes, k = 6 + 6 + 1 columns: the wide draw is the thinner one
+    rng = np.random.default_rng(0)
+    terms = [(rng.normal(size=(50, 6)), 0.8), (rng.normal(size=(50, 6)), 1.1)]
+    _, rows, rel = _factor(terms, 0.3)
+    assert rows == 13
+    assert rel <= 1e-12
+
+
+def test_node_root_for_wide_inputs():
+    rng = np.random.default_rng(1)
+    _, rows, rel = _factor([(rng.normal(size=(8, 512)), 1.2)], 0.1)
+    assert rows == 8
+    assert rel <= 1e-12
+
+
+def test_node_root_of_rank_deficient_input_is_finite():
+    # duplicated node rows make C singular; clamped roundoff must not give NaN
+    rng = np.random.default_rng(2)
+    m = rng.normal(size=(6, 64))
+    m[3] = m[0]
+    m[5] = m[1]
+    f, rows, rel = _factor([(m, 1.0)], 0.0)
+    assert rows == 6
+    assert np.all(np.isfinite(f))
+    assert rel <= 1e-12
+
+
+def test_factor_choice_depends_on_shape_alone():
+    # the n x n root is taken exactly when 4 n <= k, bias column included
+    def rows(n, fan_in, sigma_b):
+        rng = _IdentityNormals()
+        _linear_draw([(np.ones((n, fan_in)), 1.0)], sigma_b, 1, rng)
+        return rng.rows
+
+    assert rows(8, 32, 0.0) == 8
+    assert rows(8, 31, 0.0) == 31
+    assert rows(8, 31, 0.1) == 8
+    assert rows(1000, 4096, 0.1) == 1000
+    # Cora's 2708 nodes at width 4096 keep the column factor
+    assert rows(2708, 4096, 0.1) == 4097
 
 
 def test_features_shape_checked():
