@@ -31,7 +31,7 @@ def main():
     program = KernelProgram.gcn(a, DEPTH, sigma_b=0.1, sigma_w=1.0)
 
     t0 = time.perf_counter()
-    exact = run_exact(program, base_inner(ds.features))[-1]
+    exact = run_exact(program, base_inner(ds.features))
     exact_s = time.perf_counter() - t0
     scale = np.linalg.norm(exact)
     print(f"{N_NODES} nodes, depth {DEPTH} GCN; exact build {exact_s:.3f}s\n")

@@ -39,7 +39,7 @@ def main():
           f"{split.test.size} test\n")
 
     program = KernelProgram.gcn(normalize_sym(ds.graph), 2, sigma_w=1.0)
-    kernel = run_exact(program, base_inner(ds.features))[-1]
+    kernel = run_exact(program, base_inner(ds.features))
 
     eps, trace = nugget_search(kernel, split, ds.targets)
     print("nugget search on the validation split:")

@@ -39,7 +39,7 @@ def main():
     x = rng.normal(size=(N_NODES, 6))
 
     program = KernelProgram.gcn(a, DEPTH, sigma_b=SIGMA_B, sigma_w=SIGMA_W)
-    analytic = run_exact(program, base_inner(x))[-1]
+    analytic = run_exact(program, base_inner(x))
     print(f"{N_NODES}-node graph, depth {DEPTH} GCN, "
           f"sigma_b={SIGMA_B}, sigma_w={SIGMA_W}")
     print(f"analytic kernel trace {np.trace(analytic):.4f}\n")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
@@ -58,16 +58,6 @@ class SplitIndices:
             raise ValueError(
                 f"split references node {joined.max()} but the graph has {n_nodes} nodes"
             )
-
-
-@dataclass(frozen=True, eq=False)
-class PosteriorResult:
-    """Predictions at the requested nodes, one column per output channel."""
-
-    mean: np.ndarray
-    variance_diag: Optional[np.ndarray]
-    nugget: float
-    channel_names: Optional[Sequence] = None
 
 
 def _as_target_matrix(y: np.ndarray) -> np.ndarray:
@@ -165,39 +155,6 @@ class LowRankPosterior:
         return np.maximum(var, 0.0)
 
 
-# ---------------------------------------------------------------------------
-# spec-level operations
-
-
-def posterior_mean_exact(kernel: np.ndarray, split: SplitIndices, y_train: np.ndarray,
-                         nugget: float, predict: Optional[np.ndarray] = None,
-                         channel_names: Optional[Sequence] = None) -> PosteriorResult:
-    """Dense-path posterior mean at ``predict`` (default: the test split)."""
-    fit = ExactPosterior(kernel, split.train, y_train, nugget)
-    idx = split.test if predict is None else predict
-    return PosteriorResult(fit.mean(idx), None, float(nugget), channel_names)
-
-
-def posterior_mean_lowrank(factor: LowRankFactor, split: SplitIndices, y_train: np.ndarray,
-                           nugget: float, predict: Optional[np.ndarray] = None,
-                           channel_names: Optional[Sequence] = None) -> PosteriorResult:
-    """Low-rank posterior mean at ``predict`` (default: the test split)."""
-    fit = LowRankPosterior(factor, split.train, y_train, nugget)
-    idx = split.test if predict is None else predict
-    return PosteriorResult(fit.mean(idx), None, float(nugget), channel_names)
-
-
-def posterior_variance_lowrank(factor: LowRankFactor, split: SplitIndices, nugget: float,
-                               predict: Optional[np.ndarray] = None) -> np.ndarray:
-    """Low-rank predictive variance diagonal at ``predict``."""
-    # any single channel gives the same variance; fit against zeros
-    fit = LowRankPosterior(
-        factor, split.train, np.zeros((split.train.size, 1)), nugget
-    )
-    idx = split.test if predict is None else predict
-    return fit.variance(idx)
-
-
 def classify_onehot(mean: np.ndarray) -> np.ndarray:
     """Channel argmax; ties resolve to the lowest index."""
     mean = np.asarray(mean)
@@ -285,9 +242,3 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
             best_eps, best_score = float(eps), score
     return best_eps, trace
 
-
-def select_nugget(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
-                  grid: Optional[np.ndarray] = None, task: str = "classification") -> float:
-    """The winning nugget of ``nugget_search``."""
-    eps, _ = nugget_search(kernel_or_factor, split, targets, grid, task)
-    return eps

@@ -29,8 +29,8 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .adjacency import SpectralInfo, is_connected, spectral_radius
-from .kernels import Weight, apply_block_exact, relu_expectation
-from .programs import KernelProgram, _layer_exact
+from .kernels import relu_expectation
+from .programs import KernelProgram, run_exact
 
 # dense per-layer spectra make large scans expensive; keep them small
 MAX_SCAN_NODES = 200
@@ -90,7 +90,9 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
                per_layer: Optional[Callable[[int, np.ndarray], None]] = None) -> DepthTrace:
     """Run the program's exact recursion to its depth, recording diagnostics.
 
-    The operator must be symmetric, nonnegative, irreducible (connected) and
+    The diagnostics are an ``on_layer`` observer of ``run_exact``; besides
+    the current kernel, only the last CAUCHY_LAG kernels stay alive.  The
+    operator must be symmetric, nonnegative, irreducible (connected) and
     aperiodic (positive diagonal, which both normalizations guarantee via
     their self-loops); the depth-limit statements assume exactly that.  The
     optional ``per_layer`` callback sees each dense kernel as it is produced.
@@ -119,12 +121,6 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
     gcn_like = program.architecture == "gcn"
     delta = program.sigma_w**2 * perron.eigenvalue**2 / 2.0 if gcn_like else float("nan")
 
-    k0 = np.asarray(k0, dtype=np.float64)
-    skip = (
-        apply_block_exact(k0, Weight(program.alpha))
-        if program.uses_initial_skip
-        else None
-    )
     layers = np.arange(1, program.depth + 1)
     rho = np.empty(program.depth)
     tr = np.empty(program.depth)
@@ -133,23 +129,21 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
     cauchy = np.full(program.depth, np.nan)
     window: List[np.ndarray] = []
 
-    k = k0
-    for i in range(program.depth):
-        k = _layer_exact(program, i, k, skip)
+    def observe(layer: int, k: np.ndarray) -> None:
+        i = layer - 1
         rho[i] = _min_correlation(k)
         tr[i] = np.trace(k)
         top2[i] = _top2_ratio(k)
         if gcn_like and delta > 0:
-            kappa = k / delta ** (i + 1)
+            kappa = k / delta**layer
             gap[i] = _rank1_gap(kappa, perron.eigenvector)
         if len(window) == CAUCHY_LAG:
-            cauchy[i] = np.linalg.norm(k - window[0])
+            cauchy[i] = np.linalg.norm(k - window.pop(0))
         window.append(k)
-        if len(window) > CAUCHY_LAG:
-            window.pop(0)
         if per_layer is not None:
-            per_layer(i + 1, k)
+            per_layer(layer, k)
 
+    run_exact(program, k0, on_layer=observe)
     return DepthTrace(layers, rho, tr, top2, gap, cauchy, perron, delta)
 
 

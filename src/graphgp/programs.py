@@ -16,12 +16,18 @@ The first layer consumes the base covariance K0 directly (no activation in
 front of the first linear map); inner activations, like the second stage of
 a gin layer, always apply.  ggp is a single deterministic smoothing of a
 polynomial base and has no depth.
+
+Each layer is one block recipe (``_layer``), written against an
+``apply(rep, block)`` callable: ``run_exact`` reads it with
+``apply_block_exact`` and ``lowrank_variant`` with ``apply_block_lowrank``.
+Both keep only the current layer alive and return the final one;
+``run_exact``'s ``on_layer(l, K)`` hook sees every layer on the way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -114,82 +120,69 @@ class KernelProgram:
 
 
 # ---------------------------------------------------------------------------
-# exact path
+# the recipe and its driver
 
 
-def _layer_exact(prog: KernelProgram, layer: int, k: np.ndarray,
-                 skip: Optional[np.ndarray]) -> np.ndarray:
+def _chain(apply: Callable, rep, *blocks):
+    for block in blocks:
+        rep = apply(rep, block)
+    return rep
+
+
+def _layer(prog: KernelProgram, layer: int, rep, skip, apply: Callable):
+    """One layer of the program, written once against ``apply(rep, block)``."""
     conv = GraphConv(prog.a)
-    c = apply_block_exact(k, Activation()) if layer > 0 else k
+    c = apply(rep, Activation()) if layer > 0 else rep
     if prog.architecture in ("gcn", "mlp"):
-        t = apply_block_exact(c, conv)
-        t = apply_block_exact(t, Weight(prog.sigma_w))
-        return apply_block_exact(t, Bias(prog.sigma_b))
+        return _chain(apply, c, conv, Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "gin":
-        b = apply_block_exact(c, conv)
-        b = apply_block_exact(b, Weight(prog.sigma_w))
-        b = apply_block_exact(b, Bias(prog.sigma_b))
-        t = apply_block_exact(b, Activation())  # inner stage is a true pre-activation
-        t = apply_block_exact(t, Weight(prog.sigma_w))
-        return apply_block_exact(t, Bias(prog.sigma_b))
+        # the inner Activation is a true pre-activation, so it always applies
+        return _chain(apply, c, conv, Weight(prog.sigma_w), Bias(prog.sigma_b),
+                      Activation(), Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "sage":
-        neigh = apply_block_exact(c, conv)
-        neigh = apply_block_exact(neigh, Weight(prog.sigma_w2))
-        own = apply_block_exact(c, Weight(prog.sigma_w1))
-        return apply_block_exact(own, IndependentAdd(neigh))
-    # gcnii
+        neigh = _chain(apply, c, conv, Weight(prog.sigma_w2))
+        return _chain(apply, c, Weight(prog.sigma_w1), IndependentAdd(neigh))
     beta = prog.beta_schedule[layer]
-    t = apply_block_exact(c, conv)
-    t = apply_block_exact(t, Weight(1.0 - prog.alpha))
-    t = apply_block_exact(t, IndependentAdd(skip))
-    return apply_block_exact(t, MixedWeight(1.0 - beta, beta, prog.sigma_w))
+    return _chain(apply, c, conv, Weight(1.0 - prog.alpha), IndependentAdd(skip),
+                  MixedWeight(1.0 - beta, beta, prog.sigma_w))
 
 
-def run_exact(program: KernelProgram, k0: np.ndarray) -> List[np.ndarray]:
-    """Dense kernels after each layer, K^(1) .. K^(depth)."""
+def _drive(program: KernelProgram, rep0, apply: Callable,
+           on_layer: Optional[Callable] = None):
+    """Fold the program's layers over ``rep0``; a failing layer names itself.
+
+    Only the current representation (and the gcnii skip) stays alive;
+    ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
+    """
+    skip = apply(rep0, Weight(program.alpha)) if program.uses_initial_skip else None
+    rep = rep0
+    for layer in range(program.depth):
+        try:
+            rep = _layer(program, layer, rep, skip, apply)
+        except FactorizationError as err:
+            raise FactorizationError(
+                f"layer {layer + 1}: {err}", eigenvalue=err.eigenvalue
+            ) from err
+        if on_layer is not None:
+            on_layer(layer + 1, rep)
+    return rep
+
+
+def run_exact(program: KernelProgram, k0: np.ndarray,
+              on_layer: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
+    """Final dense kernel K^(depth); ``on_layer(l, K^(l))`` sees every layer."""
     k0 = np.asarray(k0, dtype=np.float64)
     if k0.shape != (program.a.n_nodes, program.a.n_nodes):
         raise ValueError(
             f"base kernel shape {k0.shape} does not match operator size {program.a.n_nodes}"
         )
-    skip = apply_block_exact(k0, Weight(program.alpha)) if program.uses_initial_skip else None
-    out = []
-    k = k0
-    for layer in range(program.depth):
-        k = _layer_exact(program, layer, k, skip)
-        out.append(k)
-    return out
-
-
-def gcn_exact(a, k0, sigma_b=0.0, sigma_w=1.0, depth=2) -> List[np.ndarray]:
-    """All per-layer kernels of the graph-convolution recursion."""
-    return run_exact(KernelProgram.gcn(a, depth, sigma_b, sigma_w), k0)
-
-
-def gcnii_exact(a, k0, sigma_w=1.0, alpha=0.1, beta_schedule=None, depth=2) -> np.ndarray:
-    """Final kernel of the initial-residual composition (bias-free)."""
-    prog = KernelProgram.gcnii(a, depth, sigma_w, alpha, beta_schedule)
-    return run_exact(prog, k0)[-1]
-
-
-def gin_exact(a, k0, sigma_b=0.0, sigma_w=1.0, depth=2) -> np.ndarray:
-    """Final kernel of the two-stage (sum-aggregate then MLP) composition."""
-    return run_exact(KernelProgram.gin(a, depth, sigma_b, sigma_w), k0)[-1]
-
-
-def sage_exact(a_row, k0, sigma_w1=0.0, sigma_w2=1.0, depth=2) -> np.ndarray:
-    """Final kernel of the sampled-neighborhood composition (row-normalized A)."""
-    return run_exact(KernelProgram.sage(a_row, depth, sigma_w1, sigma_w2), k0)[-1]
+    return _drive(program, k0, apply_block_exact, on_layer)
 
 
 def ggp_kernel(a_row, features, c: float = 5.0, d: float = 3.0) -> np.ndarray:
     """One deterministic smoothing of a polynomial base: A (x.x' + c)^d A^T."""
     k0 = base_poly(features, c=c, d=d)
     return apply_block_exact(k0, GraphConv(a_row))
-
-
-# ---------------------------------------------------------------------------
-# low-rank path
 
 
 def nystrom_start(features, landmarks: LandmarkSet,
@@ -200,36 +193,9 @@ def nystrom_start(features, landmarks: LandmarkSet,
     return chol_factor(kernel(features, anchors), kernel(anchors))
 
 
-def _layer_lowrank(prog: KernelProgram, layer: int, q: LowRankFactor,
-                   landmarks: LandmarkSet, skip: Optional[LowRankFactor]) -> LowRankFactor:
-    conv = GraphConv(prog.a)
-    c = apply_block_lowrank(q, Activation(), landmarks) if layer > 0 else q
-    if prog.architecture in ("gcn", "mlp"):
-        t = apply_block_lowrank(c, conv)
-        t = apply_block_lowrank(t, Weight(prog.sigma_w))
-        return apply_block_lowrank(t, Bias(prog.sigma_b))
-    if prog.architecture == "gin":
-        b = apply_block_lowrank(c, conv)
-        b = apply_block_lowrank(b, Weight(prog.sigma_w))
-        b = apply_block_lowrank(b, Bias(prog.sigma_b))
-        t = apply_block_lowrank(b, Activation(), landmarks)
-        t = apply_block_lowrank(t, Weight(prog.sigma_w))
-        return apply_block_lowrank(t, Bias(prog.sigma_b))
-    if prog.architecture == "sage":
-        neigh = apply_block_lowrank(c, conv)
-        neigh = apply_block_lowrank(neigh, Weight(prog.sigma_w2))
-        own = apply_block_lowrank(c, Weight(prog.sigma_w1))
-        return apply_block_lowrank(own, IndependentAdd(neigh))
-    beta = prog.beta_schedule[layer]
-    t = apply_block_lowrank(c, conv)
-    t = apply_block_lowrank(t, Weight(1.0 - prog.alpha))
-    t = apply_block_lowrank(t, IndependentAdd(skip))
-    return apply_block_lowrank(t, MixedWeight(1.0 - beta, beta, prog.sigma_w))
-
-
 def lowrank_variant(program: KernelProgram, q0: LowRankFactor,
                     landmarks: LandmarkSet) -> LowRankFactor:
-    """Run the program's low-rank twin; a failing layer names itself.
+    """Run the program on a factor; a failing layer names itself.
 
     The rank stays bounded: every activation resets the basis to the
     landmark count, bias adds one column when sigma_b > 0, and the gcnii
@@ -239,22 +205,4 @@ def lowrank_variant(program: KernelProgram, q0: LowRankFactor,
         raise ValueError(
             f"factor size {q0.n} does not match operator size {program.a.n_nodes}"
         )
-    skip = (
-        apply_block_lowrank(q0, Weight(program.alpha))
-        if program.uses_initial_skip
-        else None
-    )
-    q = q0
-    for layer in range(program.depth):
-        try:
-            q = _layer_lowrank(program, layer, q, landmarks, skip)
-        except FactorizationError as err:
-            raise FactorizationError(
-                f"layer {layer + 1}: {err}", eigenvalue=err.eigenvalue
-            ) from err
-    return q
-
-
-def gcn_lowrank(a, q0, landmarks, sigma_b=0.0, sigma_w=1.0, depth=2) -> LowRankFactor:
-    """Low-rank twin of gcn_exact; rank <= landmark count + 1."""
-    return lowrank_variant(KernelProgram.gcn(a, depth, sigma_b, sigma_w), q0, landmarks)
+    return _drive(program, q0, lambda q, b: apply_block_lowrank(q, b, landmarks))

@@ -33,12 +33,21 @@ from .inference import (
     ExactPosterior,
     LowRankPosterior,
     classify_onehot,
+    default_nugget_grid,
     micro_f1,
     nugget_search,
     one_hot_targets,
     r2,
 )
-from .kernels import LandmarkSet, LowRankFactor, base_inner, base_poly, base_rbf
+from .kernels import (
+    GraphConv,
+    LandmarkSet,
+    LowRankFactor,
+    apply_block_lowrank,
+    base_inner,
+    base_poly,
+    base_rbf,
+)
 from .limits import depth_scan, mlp_fixed_point
 from .programs import (
     KernelProgram,
@@ -104,7 +113,9 @@ class RunConfig:
             raise ValueError("nugget must be positive")
         lo, hi, count = self.nugget_grid
         if lo <= 0 or hi <= lo or int(count) < 1:
-            raise ValueError("nugget-grid must be LO,HI,POINTS with 0 < LO < HI")
+            raise ValueError(
+                "nugget-grid must be LO,HI,POINTS with 0 < LO < HI and POINTS >= 1"
+            )
 
 
 class _Phases:
@@ -138,6 +149,11 @@ def _operator_for(arch: str, ds: Dataset):
     if arch in ROW_NORMALIZED:
         return normalize_row(ds.graph)
     return normalize_sym(ds.graph)
+
+
+def _search_grid(cfg: RunConfig) -> np.ndarray:
+    lo, hi, count = cfg.nugget_grid
+    return default_nugget_grid(lo, hi, int(count))
 
 
 def _base_callable(cfg: RunConfig):
@@ -208,13 +224,48 @@ def _build_representation(cfg: RunConfig, arch: str, a, feats, sigma_b: float,
         if cfg.path == "exact":
             return ggp_kernel(a, feats, c=cfg.poly_c, d=cfg.poly_d)
         q0 = nystrom_start(feats, landmarks, partial(base_poly, c=cfg.poly_c, d=cfg.poly_d))
-        return LowRankFactor(a.to_csr() @ q0.q)
+        return apply_block_lowrank(q0, GraphConv(a))
     base_fn = _base_callable(cfg)
     program = _program_for(cfg, arch, a, sigma_b)
     if cfg.path == "exact":
-        return run_exact(program, base_fn(feats))[-1]
+        return run_exact(program, base_fn(feats))
     q0 = nystrom_start(feats, landmarks, base_fn)
     return lowrank_variant(program, q0, landmarks)
+
+
+def _fit_and_score(rep, ds: Dataset, nugget: float, names: tuple, phases: _Phases):
+    """Fit the posterior on the train split; predict and score the named splits.
+
+    Returns the fit and, per split name, the predictions and the metric
+    (Micro-F1 or R^2).  A dataset with a single class predicts it everywhere.
+    """
+    if ds.task == "classification":
+        classes = np.unique(ds.targets)
+        y_train, _ = one_hot_targets(ds.targets[ds.splits.train], classes)
+    else:
+        y_train = ds.targets[ds.splits.train].astype(np.float64)
+
+    with phases.phase("solve"):
+        posterior = LowRankPosterior if isinstance(rep, LowRankFactor) else ExactPosterior
+        fit = posterior(rep, ds.splits.train, y_train, nugget)
+
+    with phases.phase("predict"):
+        means = {name: fit.mean(getattr(ds.splits, name)) for name in names}
+
+    predictions, metrics = {}, {}
+    for name, mean in means.items():
+        truth = ds.targets[getattr(ds.splits, name)]
+        if ds.task == "classification":
+            if mean.shape[1] > 1:
+                pred = classes[classify_onehot(mean)]
+            else:
+                pred = np.full(mean.shape[0], classes[0])
+            metrics[name] = micro_f1(pred, truth)
+        else:
+            pred = mean[:, 0]
+            metrics[name] = r2(pred, truth)
+        predictions[name] = pred
+    return fit, predictions, metrics
 
 
 def run_infer(cfg: RunConfig) -> Report:
@@ -238,15 +289,7 @@ def run_infer(cfg: RunConfig) -> Report:
         gamma_candidates = GAMMA_GRID
     else:
         gamma_candidates = (cfg.gamma,)
-    grid = (
-        None
-        if cfg.nugget is not None
-        else np.logspace(
-            np.log10(cfg.nugget_grid[0]),
-            np.log10(cfg.nugget_grid[1]),
-            int(cfg.nugget_grid[2]),
-        )
-    )
+    grid = None if cfg.nugget is not None else _search_grid(cfg)
 
     best = None
     search_rows = []
@@ -269,37 +312,11 @@ def run_infer(cfg: RunConfig) -> Report:
             best = (rep, gamma, eps, score)
     rep, gamma, nugget, _ = best
 
-    if task == "classification":
-        classes = np.unique(ds.targets)
-        y_train, _ = one_hot_targets(ds.targets[ds.splits.train], classes)
-    else:
-        classes = None
-        y_train = ds.targets[ds.splits.train].astype(np.float64)
-
-    with phases.phase("solve"):
-        if cfg.path == "exact":
-            fit = ExactPosterior(rep, ds.splits.train, y_train, nugget)
-        else:
-            fit = LowRankPosterior(rep, ds.splits.train, y_train, nugget)
-
+    fit, predictions, metrics = _fit_and_score(
+        rep, ds, nugget, ("train", "val", "test"), phases
+    )
     with phases.phase("predict"):
-        means = {name: fit.mean(getattr(ds.splits, name)) for name in ("train", "val", "test")}
         variance = fit.variance(ds.splits.test) if cfg.path == "lowrank" else None
-
-    metrics = {}
-    predictions = {}
-    for name, mean in means.items():
-        truth = ds.targets[getattr(ds.splits, name)]
-        if task == "classification":
-            if mean.shape[1] > 1:
-                pred = classes[classify_onehot(mean)]
-            else:
-                pred = np.full(mean.shape[0], classes[0])
-            metrics[name] = micro_f1(pred, truth)
-        else:
-            pred = mean[:, 0]
-            metrics[name] = r2(pred, truth)
-        predictions[name] = pred
 
     report = Report("infer")
     report.set("dataset", ds.name)
@@ -373,15 +390,7 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     feats = _preprocess(cfg, ds, None)
     base_fn = _base_callable(cfg)
     k0 = base_fn(feats)
-    grid = (
-        np.asarray([cfg.nugget])
-        if cfg.nugget is not None
-        else np.logspace(
-            np.log10(cfg.nugget_grid[0]),
-            np.log10(cfg.nugget_grid[1]),
-            int(cfg.nugget_grid[2]),
-        )
-    )
+    grid = np.asarray([cfg.nugget]) if cfg.nugget is not None else _search_grid(cfg)
 
     report = Report("depth-scan")
     report.set("dataset", ds.name)
@@ -412,18 +421,9 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     per_depth_metrics = {}
 
     def measure(layer: int, kernel: np.ndarray) -> None:
-        eps, trace = nugget_search(kernel, ds.splits, ds.targets, grid, task)
-        if task == "classification":
-            classes = np.unique(ds.targets)
-            y_train, _ = one_hot_targets(ds.targets[ds.splits.train], classes)
-            fit = ExactPosterior(kernel, ds.splits.train, y_train, eps)
-            pred = classes[classify_onehot(fit.mean(ds.splits.test))]
-            per_depth_metrics[layer] = micro_f1(pred, ds.targets[ds.splits.test])
-        else:
-            y_train = ds.targets[ds.splits.train].astype(np.float64)
-            fit = ExactPosterior(kernel, ds.splits.train, y_train, eps)
-            per_depth_metrics[layer] = r2(fit.mean(ds.splits.test)[:, 0],
-                                          ds.targets[ds.splits.test])
+        eps, _ = nugget_search(kernel, ds.splits, ds.targets, grid, task)
+        _, _, metrics = _fit_and_score(kernel, ds, eps, ("test",), _Phases())
+        per_depth_metrics[layer] = metrics["test"]
 
     trace = depth_scan(program, k0, per_layer=measure)
     report.set("perron_eigenvalue", float(trace.perron.eigenvalue))
@@ -455,7 +455,7 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     sigma_b = _default_sigma_b(cfg, ds.task)
     a = _operator_for(cfg.arch, ds)
     program = _program_for(cfg, cfg.arch, a, sigma_b)
-    analytic = run_exact(program, base_inner(ds.features))[-1]
+    analytic = run_exact(program, base_inner(ds.features))
     mc = McConfig(
         architecture=cfg.arch,
         depth=cfg.layers,
@@ -488,6 +488,12 @@ def run_mc_verify(cfg: RunConfig) -> Report:
 def run_benchmark(cfg: RunConfig) -> Report:
     """Low-rank kernel-build time against graph size; median of repeats."""
     cfg.validate()
+    if len(set(cfg.sizes)) < 2:
+        raise ValueError(
+            f"benchmark needs at least two distinct sizes to fit a slope, got {cfg.sizes}"
+        )
+    if cfg.repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
     arch = cfg.arch if cfg.arch in ("gcn", "gcnii", "gin", "sage") else "gcn"
     n_landmarks = cfg.landmarks if cfg.landmarks is not None else 128
     sigma_b = 0.0 if cfg.sigma_b is None else cfg.sigma_b

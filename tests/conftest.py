@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from graphgp import build_adjacency, normalize_row, normalize_sym
+from graphgp import build_adjacency, normalize_row, normalize_sym, run_exact
 
 FIXTURE_DIR = os.path.join(os.path.dirname(__file__), "data", "fixture")
 
@@ -43,3 +43,12 @@ def random_psd(n, seed, rank=None):
 
 def random_features(n, d, seed):
     return np.random.default_rng(seed).normal(size=(n, d))
+
+
+def every_layer(prog, k0):
+    """Each layer's kernel, as run_exact's on_layer hook sees them."""
+    seen = []
+    final = run_exact(prog, k0, on_layer=lambda l, k: seen.append((l, k)))
+    assert [l for l, _ in seen] == list(range(1, prog.depth + 1))
+    assert seen[-1][1] is final
+    return [k for _, k in seen]

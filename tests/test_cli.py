@@ -6,6 +6,7 @@ import pytest
 
 from graphgp import report_schema
 from graphgp.cli import main
+from graphgp.runners import RunConfig, run_benchmark
 
 from conftest import FIXTURE_DIR
 
@@ -176,3 +177,34 @@ def test_benchmark_smoke(capsys):
     assert code == 0
     assert len(table_rows(out, "scaling")) == 2
     assert "loglog_slope: " in out
+
+
+@pytest.mark.parametrize("sizes", [(200, 200), (200,)])
+def test_benchmark_needs_two_distinct_sizes(sizes, capsys):
+    with pytest.raises(ValueError, match="at least two distinct sizes"):
+        run_benchmark(RunConfig(sizes=sizes, landmarks=16, repeats=1))
+    code, out, err = run_cli(
+        capsys, "benchmark", "--sizes", ",".join(map(str, sizes)), "--repeats", "1"
+    )
+    assert code == 1
+    assert out == ""
+    assert "at least two distinct sizes" in err
+
+
+def test_benchmark_needs_a_repeat(capsys):
+    with pytest.raises(ValueError, match="repeats must be at least 1, got 0"):
+        run_benchmark(RunConfig(sizes=(100, 200), landmarks=16, repeats=0))
+    code, out, err = run_cli(capsys, "benchmark", "--sizes", "100,200", "--repeats", "0")
+    assert code == 1
+    assert out == ""
+    assert "repeats must be at least 1" in err
+
+
+def test_nugget_grid_needs_a_point(capsys):
+    with pytest.raises(ValueError, match=r"0 < LO < HI and POINTS >= 1"):
+        RunConfig(nugget_grid=(1.0, 10.0, 0)).validate()
+    code, _, err = run_cli(
+        capsys, "infer", "--dataset", FIXTURE_DIR, "--nugget-grid", "1,10,0"
+    )
+    assert code == 1
+    assert "POINTS >= 1" in err

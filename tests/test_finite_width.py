@@ -8,7 +8,6 @@ from graphgp import (
     compare_covariance,
     identity_adjacency,
     run_exact,
-    sage_exact,
     sample_covariance,
 )
 from graphgp.finite_width import _linear_draw
@@ -148,7 +147,7 @@ def test_compare_covariance_is_relative_frobenius():
 def test_gcn_draws_match_analytic_kernel():
     a = sym_operator(8, 5, 0)
     x = random_features(8, 6, 1)
-    k = run_exact(KernelProgram.gcn(a, 2, sigma_b=0.2, sigma_w=1.0), base_inner(x))[-1]
+    k = run_exact(KernelProgram.gcn(a, 2, sigma_b=0.2, sigma_w=1.0), base_inner(x))
     cfg = McConfig("gcn", 2, 256, 80, seed=7, sigma_b=0.2, sigma_w=1.0)
     assert compare_covariance(sample_covariance(cfg, a, x), k) <= 0.04
 
@@ -156,7 +155,7 @@ def test_gcn_draws_match_analytic_kernel():
 def test_sage_self_branch_matches_analytic_kernel():
     a = row_operator(8, 5, 0)
     x = random_features(8, 6, 1)
-    k = sage_exact(a, base_inner(x), sigma_w1=0.8, sigma_w2=1.0, depth=2)
+    k = run_exact(KernelProgram.sage(a, 2, sigma_w1=0.8, sigma_w2=1.0), base_inner(x))
     cfg = McConfig("sage", 2, 512, 80, seed=11, sigma_w1=0.8, sigma_w2=1.0)
     assert compare_covariance(sample_covariance(cfg, a, x), k) <= 0.04
 
@@ -164,6 +163,6 @@ def test_sage_self_branch_matches_analytic_kernel():
 def test_graph_free_draws_match_analytic_kernel():
     a = identity_adjacency(6)
     x = random_features(6, 5, 2)
-    k = run_exact(KernelProgram.mlp(6, 3, sigma_b=0.3, sigma_w=1.2), base_inner(x))[-1]
+    k = run_exact(KernelProgram.mlp(6, 3, sigma_b=0.3, sigma_w=1.2), base_inner(x))
     cfg = McConfig("mlp", 3, 512, 80, seed=13, sigma_b=0.3, sigma_w=1.2)
     assert compare_covariance(sample_covariance(cfg, a, x), k) <= 0.04

@@ -12,11 +12,7 @@ from graphgp import (
     micro_f1,
     nugget_search,
     one_hot_targets,
-    posterior_mean_exact,
-    posterior_mean_lowrank,
-    posterior_variance_lowrank,
     r2,
-    select_nugget,
 )
 
 
@@ -101,24 +97,23 @@ def test_lowrank_variance_matches_dense_woodbury():
 
 def test_variance_clamped_nonnegative():
     q = LowRankFactor(np.random.default_rng(2).normal(size=(10, 3)))
-    var = posterior_variance_lowrank(
-        q, SplitIndices(np.arange(5), np.array([5]), np.arange(6, 10)), nugget=1e-12
+    var = LowRankPosterior(q, np.arange(5), np.zeros(5), nugget=1e-12).variance(
+        np.arange(6, 10)
     )
     assert np.all(var >= 0.0)
 
 
-def test_posterior_wrappers_default_to_test_split():
+def test_exact_and_lowrank_posterior_means_agree():
     rng = np.random.default_rng(3)
     q = LowRankFactor(rng.normal(size=(8, 3)))
     split = SplitIndices(np.arange(4), np.array([4, 5]), np.array([6, 7]))
     y = rng.normal(size=4)
-    exact = posterior_mean_exact(q.gram(), split, y, 0.5)
-    low = posterior_mean_lowrank(q, split, y, 0.5)
-    assert exact.mean.shape == (2, 1)
-    assert np.abs(exact.mean - low.mean).max() <= 1e-10
+    exact = ExactPosterior(q.gram(), split.train, y, 0.5)
+    low = LowRankPosterior(q, split.train, y, 0.5)
+    assert exact.mean(split.test).shape == (2, 1)
+    assert np.abs(exact.mean(split.test) - low.mean(split.test)).max() <= 1e-10
     assert exact.nugget == 0.5
-    at_val = posterior_mean_exact(q.gram(), split, y, 0.5, predict=split.val)
-    assert at_val.mean.shape == (2, 1)
+    assert exact.mean(split.val).shape == (2, 1)
 
 
 def test_exact_posterior_jitter_recovers_singular_block():
@@ -189,7 +184,7 @@ def test_nugget_search_ties_prefer_smaller():
     if len(set(scores)) == 1:
         assert eps == 0.1  # grid is sorted before the scan
     assert trace[0][0] == 0.1
-    assert select_nugget(q, split, targets, grid=np.array([1.0, 0.1, 10.0])) == eps
+    assert nugget_search(q, split, targets, grid=np.array([10.0, 1.0, 0.1]))[0] == eps
 
 
 def test_nugget_search_regression_constant_validation_warns():

@@ -8,10 +8,16 @@ from graphgp import (
     mlp_fixed_point,
     mlp_recursion,
     normalize_sym,
-    run_exact,
 )
 
-from conftest import random_features, random_psd, ring_with_chords, row_operator, sym_operator
+from conftest import (
+    every_layer,
+    random_features,
+    random_psd,
+    ring_with_chords,
+    row_operator,
+    sym_operator,
+)
 
 
 def inner_k0(n, d, seed):
@@ -60,7 +66,7 @@ def test_trace_sequence_matches_exact_path_bitwise():
     k0 = inner_k0(12, 6, 5)
     prog = KernelProgram.gcn(a, 15, sigma_b=0.3, sigma_w=1.1)
     trace = depth_scan(prog, k0)
-    kernels = run_exact(prog, k0)
+    kernels = every_layer(prog, k0)
     assert np.array_equal(trace.layers, np.arange(1, 16))
     assert np.array_equal(trace.trace, [np.trace(k) for k in kernels])
 
@@ -71,7 +77,7 @@ def test_per_layer_callback_sees_every_kernel():
     prog = KernelProgram.gcn(a, 8, sigma_b=0.2)
     seen = {}
     depth_scan(prog, k0, per_layer=lambda l, k: seen.__setitem__(l, k.copy()))
-    kernels = run_exact(prog, k0)
+    kernels = every_layer(prog, k0)
     assert sorted(seen) == list(range(1, 9))
     for l, k in seen.items():
         assert np.array_equal(k, kernels[l - 1])
@@ -82,7 +88,7 @@ def test_cauchy_gap_window():
     k0 = inner_k0(10, 5, 9)
     prog = KernelProgram.gcn(a, 14, sigma_b=0.2)
     trace = depth_scan(prog, k0)
-    kernels = run_exact(prog, k0)
+    kernels = every_layer(prog, k0)
     assert np.isnan(trace.cauchy_gap[:10]).all()
     for i in range(10, 14):
         assert trace.cauchy_gap[i] == np.linalg.norm(kernels[i] - kernels[i - 10])

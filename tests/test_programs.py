@@ -10,21 +10,16 @@ from graphgp import (
     base_inner,
     base_poly,
     compare_covariance,
-    gcn_exact,
-    gcn_lowrank,
     gcnii_beta_schedule,
-    gcnii_exact,
     ggp_kernel,
-    gin_exact,
     identity_adjacency,
     lowrank_variant,
     nystrom_start,
     run_exact,
-    sage_exact,
     sample_covariance,
 )
 
-from conftest import random_features, row_operator, sym_operator
+from conftest import every_layer, random_features, row_operator, sym_operator
 
 
 # Independent oracle: the ReLU expectation written from scratch (arccos on
@@ -54,7 +49,7 @@ def test_gcn_recursion_matches_hand_oracle():
         k = sb**2 + sw**2 * (ad @ c @ ad.T)
         expected.append(k)
 
-    got = gcn_exact(a, k0, sigma_b=sb, sigma_w=sw, depth=3)
+    got = every_layer(KernelProgram.gcn(a, 3, sigma_b=sb, sigma_w=sw), k0)
     assert len(got) == 3
     for g, e in zip(got, expected):
         assert np.abs(g - e).max() / np.abs(e).max() <= 1e-12
@@ -65,7 +60,7 @@ def test_first_layer_skips_activation():
     n = 6
     a = sym_operator(n, seed=2)
     k0 = base_inner(random_features(n, 4, seed=3))
-    got = gcn_exact(a, k0, sigma_b=0.0, sigma_w=1.0, depth=1)[0]
+    got = run_exact(KernelProgram.gcn(a, 1, sigma_b=0.0, sigma_w=1.0), k0)
     ad = a.toarray()
     assert np.abs(got - ad @ k0 @ ad.T).max() <= 1e-12
 
@@ -74,8 +69,11 @@ def test_mlp_is_gcn_on_identity():
     n = 7
     k0 = base_inner(random_features(n, 4, seed=4))
     prog = KernelProgram.mlp(n, 3, sigma_b=0.2, sigma_w=1.1)
-    via_mlp = run_exact(prog, k0)
-    via_gcn = gcn_exact(identity_adjacency(n), k0, sigma_b=0.2, sigma_w=1.1, depth=3)
+    via_mlp = every_layer(prog, k0)
+    via_gcn = every_layer(
+        KernelProgram.gcn(identity_adjacency(n), 3, sigma_b=0.2, sigma_w=1.1), k0
+    )
+    assert len(via_mlp) == len(via_gcn) == 3
     for m, g in zip(via_mlp, via_gcn):
         assert np.array_equal(m, g)
 
@@ -95,7 +93,7 @@ def test_gcnii_alpha_one_collapses_to_scaled_base():
     k0 = base_inner(random_features(n, 4, seed=6))
     betas = gcnii_beta_schedule(3)
     sw = 1.3
-    got = gcnii_exact(a, k0, sigma_w=sw, alpha=1.0, depth=3)
+    got = run_exact(KernelProgram.gcnii(a, 3, sigma_w=sw, alpha=1.0), k0)
     last = (1 - betas[-1]) ** 2 + betas[-1] ** 2 * sw**2
     assert np.abs(got - last * k0).max() / np.abs(k0).max() <= 1e-12
 
@@ -115,7 +113,7 @@ def test_gcnii_hand_oracle():
         b = betas[layer]
         k = mixed * ((1 - b) ** 2 + b**2 * sw**2)
 
-    got = gcnii_exact(a, k0, sigma_w=sw, alpha=alpha, depth=3)
+    got = run_exact(KernelProgram.gcnii(a, 3, sigma_w=sw, alpha=alpha), k0)
     assert np.abs(got - k).max() / np.abs(k).max() <= 1e-12
 
 
@@ -132,11 +130,11 @@ def test_gin_hand_oracle_and_degenerate_case():
         b = sw**2 * (ad @ c @ ad.T) + sb**2
         k = sw**2 * oracle_g(b) + sb**2  # inner stage always activates
 
-    got = gin_exact(a, k0, sigma_b=sb, sigma_w=sw, depth=2)
+    got = run_exact(KernelProgram.gin(a, 2, sigma_b=sb, sigma_w=sw), k0)
     assert np.abs(got - k).max() / np.abs(k).max() <= 1e-12
 
     # sigma_w = 0 leaves only the bias: K = sigma_b^2 everywhere
-    flat = gin_exact(a, k0, sigma_b=0.5, sigma_w=0.0, depth=2)
+    flat = run_exact(KernelProgram.gin(a, 2, sigma_b=0.5, sigma_w=0.0), k0)
     assert np.abs(flat - 0.25).max() <= 1e-15
 
 
@@ -144,8 +142,8 @@ def test_sage_own_branch_off_matches_row_gcn():
     n = 8
     a = row_operator(n, extra=2, seed=11)
     k0 = base_inner(random_features(n, 5, seed=12))
-    via_sage = sage_exact(a, k0, sigma_w1=0.0, sigma_w2=1.2, depth=3)
-    via_gcn = gcn_exact(a, k0, sigma_b=0.0, sigma_w=1.2, depth=3)[-1]
+    via_sage = run_exact(KernelProgram.sage(a, 3, sigma_w1=0.0, sigma_w2=1.2), k0)
+    via_gcn = run_exact(KernelProgram.gcn(a, 3, sigma_b=0.0, sigma_w=1.2), k0)
     assert np.array_equal(via_sage, via_gcn)
 
 
@@ -161,7 +159,7 @@ def test_sage_hand_oracle():
         c = oracle_g(k) if layer > 0 else k
         k = s1**2 * c + s2**2 * (ad @ c @ ad.T)
 
-    got = sage_exact(a, k0, sigma_w1=s1, sigma_w2=s2, depth=2)
+    got = run_exact(KernelProgram.sage(a, 2, sigma_w1=s1, sigma_w2=s2), k0)
     assert np.abs(got - k).max() / np.abs(k).max() <= 1e-12
 
 
@@ -204,7 +202,7 @@ def test_all_landmark_lowrank_matches_exact_every_arch():
         KernelProgram.mlp(n, 3, sigma_b=0.3, sigma_w=1.1),
     ]
     for prog in programs:
-        k = run_exact(prog, base_inner(x))[-1]
+        k = run_exact(prog, base_inner(x))
         q = lowrank_variant(prog, nystrom_start(x, lm), lm)
         err = np.abs(q.gram() - k).max() / np.abs(k).max()
         assert err <= 1e-10, prog.architecture
@@ -217,10 +215,10 @@ def test_lowrank_rank_bookkeeping():
     sym = sym_operator(n, extra=3, seed=20)
     q0 = nystrom_start(x, lm)
 
-    with_bias = gcn_lowrank(sym, q0, lm, sigma_b=0.3, sigma_w=1.0, depth=3)
+    with_bias = lowrank_variant(KernelProgram.gcn(sym, 3, sigma_b=0.3, sigma_w=1.0), q0, lm)
     assert with_bias.rank == lm.count + 1  # activation resets, bias adds one
 
-    bias_free = gcn_lowrank(sym, q0, lm, sigma_b=0.0, sigma_w=1.0, depth=3)
+    bias_free = lowrank_variant(KernelProgram.gcn(sym, 3, sigma_b=0.0, sigma_w=1.0), q0, lm)
     assert bias_free.rank == lm.count
 
     gcnii = KernelProgram.gcnii(sym, 4, sigma_w=1.0)
@@ -243,14 +241,14 @@ def test_lowrank_failure_names_layer():
     lm = LandmarkSet.all_nodes(n)
     zero = LowRankFactor(np.zeros((n, 2)))
     with pytest.raises(FactorizationError, match="layer 2"):
-        gcn_lowrank(sym, zero, lm, sigma_b=0.0, sigma_w=1.0, depth=2)
+        lowrank_variant(KernelProgram.gcn(sym, 2, sigma_b=0.0, sigma_w=1.0), zero, lm)
 
 
 def test_lowrank_size_mismatch():
     sym = sym_operator(6, seed=23)
     q0 = LowRankFactor(np.ones((5, 2)))
     with pytest.raises(ValueError, match="does not match"):
-        gcn_lowrank(sym, q0, LandmarkSet.all_nodes(5), depth=1)
+        lowrank_variant(KernelProgram.gcn(sym, 1), q0, LandmarkSet.all_nodes(5))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +267,7 @@ def test_finite_width_agreement(arch):
         prog = KernelProgram.gin(sym, 2, sigma_b=0.2, sigma_w=1.0)
     else:
         prog = KernelProgram.sage(row, 2, sigma_w1=0.8, sigma_w2=1.0)
-    analytic = run_exact(prog, base_inner(x))[-1]
+    analytic = run_exact(prog, base_inner(x))
     cfg = McConfig(
         architecture=arch,
         depth=2,
