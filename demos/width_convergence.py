@@ -2,8 +2,11 @@
 
 A width-d GCN with Gaussian weights induces a distribution over outputs;
 averaging outer products over channels and draws estimates the covariance
-that the kernel recursion computes in closed form.  The estimate tightens
-as width grows, which is the whole reason the closed form is trustworthy.
+that the kernel recursion computes in closed form.  Both sides read one
+KernelProgram: ``run_exact`` gives its kernel and ``McConfig(program, ...)``
+samples its network, so they describe the same GCN by construction.  The
+estimate tightens as width grows, which is the whole reason the closed form
+is trustworthy.
 
 Run time is about a second, mostly interpreter start-up and imports; the
 width sweep itself takes a few tenths of a second on one core.
@@ -49,10 +52,8 @@ def main():
         t0 = time.perf_counter()
         errs = []
         for seed in range(3):
-            cfg = McConfig("gcn", DEPTH, width, SAMPLES, seed=seed,
-                           sigma_b=SIGMA_B, sigma_w=SIGMA_W)
-            errs.append(compare_covariance(sample_covariance(cfg, a, x),
-                                           analytic))
+            cfg = McConfig(program, width, SAMPLES, seed=seed)
+            errs.append(compare_covariance(sample_covariance(cfg, x), analytic))
         print(f"{width:>6}  {np.mean(errs):>22.5f}  "
               f"{time.perf_counter() - t0:>8.2f}")
 

@@ -79,9 +79,6 @@ class SparseAdjacency:
     def diagonal(self) -> np.ndarray:
         return self.to_csr().diagonal()
 
-    def __matmul__(self, other: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ other
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralInfo:

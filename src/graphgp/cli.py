@@ -122,13 +122,11 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
             kwargs["choices"] = ARCH_CHOICES
         elif name == "path":
             kwargs["choices"] = PATH_CHOICES
-        elif kind in (int, float, str):
-            kwargs["type"] = kind
         else:
             kwargs["type"] = kind
             if name == "nugget_grid":
                 kwargs["metavar"] = "LO,HI,POINTS"
-            else:
+            elif kind not in (int, float, str):
                 kwargs["metavar"] = "A,B,..."
         parser.add_argument(flag, **kwargs)
 

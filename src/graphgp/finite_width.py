@@ -1,10 +1,13 @@
 """Finite-width Monte-Carlo check of the infinite-width covariances.
 
-Draws networks with iid Gaussian weights W ~ N(0, sigma_w^2 / fan_in) and
-biases b ~ N(0, sigma_b^2), runs the forward pass on the node features, and
+Draws the network that a KernelProgram describes (the architecture,
+operator, depth and hyperparameters that ``run_exact`` reads) at a finite
+width, with iid Gaussian weights W ~ N(0, sigma_w^2 / fan_in) and biases
+b ~ N(0, sigma_b^2), runs the forward pass on the node features, and
 averages z z^T over samples and over the width of the final pre-activation
-layer.  As the width grows the pooled estimate converges to the analytic
-kernel at the usual 1/sqrt(width) Monte-Carlo rate.
+layer.  As the width grows the pooled estimate converges to the program's
+analytic kernel at the usual 1/sqrt(width) Monte-Carlo rate.  ``McConfig``
+holds only the sampling plan: the program, width, sample count and seed.
 
 Each Gaussian linear layer is drawn from its conditional distribution given
 the layer before it (the structure behind the NNGP construction of Lee et
@@ -46,38 +49,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adjacency import SparseAdjacency
-
-MC_ARCHITECTURES = ("gcn", "gcnii", "gin", "sage", "mlp")
+from .programs import KernelProgram
 
 
 @dataclass(frozen=True)
 class McConfig:
-    """Sampling plan for the finite-width surrogate."""
+    """Sampling plan for the finite-width network that ``program`` describes.
 
-    architecture: str
-    depth: int
+    The architecture, operator, depth and layer hyperparameters are the
+    program's own, so the draws and the analytic kernel of the same program
+    describe one network; the plan adds the hidden width, the number of
+    network draws and the seed.
+    """
+
+    program: KernelProgram
     width: int
     n_samples: int
     seed: int
-    sigma_b: float = 0.0
-    sigma_w: float = 1.0
-    alpha: float = 0.1
-    beta_schedule: tuple = ()
-    sigma_w1: float = 0.0
-    sigma_w2: float = 1.0
 
     def __post_init__(self):
-        if self.architecture not in MC_ARCHITECTURES:
-            raise ValueError(f"unknown architecture {self.architecture!r}")
-        if self.depth < 1 or self.width < 1:
-            raise ValueError("depth and width must be positive")
+        if self.width < 1:
+            raise ValueError("width must be positive")
         if self.n_samples < 1:
             raise ValueError("need at least one sample")
-        if min(self.sigma_b, self.sigma_w, self.sigma_w1, self.sigma_w2) < 0:
-            raise ValueError("sigma parameters must be nonnegative")
-        if self.architecture == "gcnii" and len(self.beta_schedule) != self.depth:
-            raise ValueError("gcnii needs one beta per layer")
 
 
 def _relu(z: np.ndarray) -> np.ndarray:
@@ -121,57 +115,43 @@ def _linear_draw(terms, sigma_b: float, width: int, rng) -> np.ndarray:
 
 def _forward(cfg: McConfig, a_csr, x0: np.ndarray, rngs) -> np.ndarray:
     """One network draw; returns the final pre-activation (n_nodes x width)."""
-    d = cfg.width
-    if cfg.architecture == "gcnii":
+    prog, d = cfg.program, cfg.width
+    if prog.uses_initial_skip:
         # rngs[depth] is reserved for the base lift
-        h = _linear_draw([(x0, 1.0)], 0.0, d, rngs[cfg.depth])
+        h = _linear_draw([(x0, 1.0)], 0.0, d, rngs[prog.depth])
     else:
         h = x0
-    for l in range(cfg.depth):
+    for l in range(prog.depth):
         rng = rngs[l]
         inner = _relu(h) if l > 0 else h
-        if cfg.architecture in ("gcn", "mlp"):
-            h = _linear_draw([(a_csr @ inner, cfg.sigma_w)], cfg.sigma_b, d, rng)
-        elif cfg.architecture == "gin":
-            mid = _linear_draw([(a_csr @ inner, cfg.sigma_w)], cfg.sigma_b, d, rng)
-            h = _linear_draw([(_relu(mid), cfg.sigma_w)], cfg.sigma_b, d, rng)
-        elif cfg.architecture == "sage":
-            h = _linear_draw([(inner, cfg.sigma_w1), (a_csr @ inner, cfg.sigma_w2)],
+        if prog.architecture in ("gcn", "mlp"):
+            h = _linear_draw([(a_csr @ inner, prog.sigma_w)], prog.sigma_b, d, rng)
+        elif prog.architecture == "gin":
+            mid = _linear_draw([(a_csr @ inner, prog.sigma_w)], prog.sigma_b, d, rng)
+            h = _linear_draw([(_relu(mid), prog.sigma_w)], prog.sigma_b, d, rng)
+        elif prog.architecture == "sage":
+            h = _linear_draw([(inner, prog.sigma_w1), (a_csr @ inner, prog.sigma_w2)],
                              0.0, d, rng)
         else:
             skip = _linear_draw([(x0, 1.0)], 0.0, d, rng)
-            mixed = (1.0 - cfg.alpha) * (a_csr @ inner) + cfg.alpha * skip
-            beta = cfg.beta_schedule[l]
-            lifted = _linear_draw([(mixed, cfg.sigma_w)], 0.0, d, rng)
+            mixed = (1.0 - prog.alpha) * (a_csr @ inner) + prog.alpha * skip
+            beta = prog.beta_schedule[l]
+            lifted = _linear_draw([(mixed, prog.sigma_w)], 0.0, d, rng)
             h = (1.0 - beta) * mixed + beta * lifted
     return h
 
 
-def sample_covariance(cfg: McConfig, a: SparseAdjacency, features: np.ndarray,
-                      per_coordinate: bool = False) -> np.ndarray:
-    """Pooled empirical covariance of the final layer over all samples.
-
-    With ``per_coordinate`` the pooling over output units is skipped and the
-    result has shape (width, n_nodes, n_nodes), one sample-averaged estimate
-    per output unit; the pooled estimate is their mean over units.
-    """
+def sample_covariance(cfg: McConfig, features: np.ndarray) -> np.ndarray:
+    """Pooled empirical covariance of the final layer over all samples and
+    output units, on the program's operator."""
+    a = cfg.program.a
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2 or features.shape[0] != a.n_nodes:
         raise ValueError("features must be 2-d with one row per node")
     a_csr = a.to_csr()
-    root = np.random.SeedSequence(cfg.seed)
-    sample_seqs = root.spawn(cfg.n_samples)
-    n = a.n_nodes
-    streams_per_sample = cfg.depth + (1 if cfg.architecture == "gcnii" else 0)
-    if per_coordinate:
-        acc = np.zeros((cfg.width, n, n))
-        for seq in sample_seqs:
-            rngs = [np.random.default_rng(s) for s in seq.spawn(streams_per_sample)]
-            z = _forward(cfg, a_csr, features, rngs)
-            acc += np.einsum("ic,jc->cij", z, z)
-        return acc / cfg.n_samples
-    acc = np.zeros((n, n))
-    for seq in sample_seqs:
+    streams_per_sample = cfg.program.depth + cfg.program.uses_initial_skip
+    acc = np.zeros((a.n_nodes, a.n_nodes))
+    for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_samples):
         rngs = [np.random.default_rng(s) for s in seq.spawn(streams_per_sample)]
         z = _forward(cfg, a_csr, features, rngs)
         acc += z @ z.T

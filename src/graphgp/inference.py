@@ -11,8 +11,9 @@ posterior mean is
     var = eps * diag( Q_* (Q_b^T Q_b + eps I)^{-1} Q_*^T ).
 
 Classification runs C independent regressions against one-hot targets and
-takes the channel argmax.  The nugget eps is picked on the validation split
-by Micro-F1 (classification) or R^2 (regression).
+takes the channel argmax (a single class is predicted everywhere).  The
+nugget eps is picked on the validation split by Micro-F1 (classification)
+or R^2 (regression), with the same ``score_mean`` that scores a final fit.
 """
 
 from __future__ import annotations
@@ -191,6 +192,35 @@ def default_nugget_grid(lo: float = 1e-3, hi: float = 10.0, count: int = 13) -> 
     return np.logspace(np.log10(lo), np.log10(hi), count)
 
 
+def training_targets(targets: np.ndarray, train_idx: np.ndarray, task: str):
+    """Targets of the training nodes as a matrix, and the class values.
+
+    Classification gives one-hot rows over the classes found in ``targets``
+    (all nodes) and those classes; regression gives the values and None.
+    """
+    targets = np.asarray(targets)
+    if task == "classification":
+        return one_hot_targets(targets[train_idx], np.unique(targets))
+    return targets[train_idx].astype(np.float64), None
+
+
+def score_mean(mean: np.ndarray, truth: np.ndarray, classes: Optional[np.ndarray]):
+    """Predictions from a posterior mean and their score.
+
+    With ``classes`` the prediction is the channel argmax, scored by
+    Micro-F1; a single class is predicted everywhere.  Without, it is the
+    first channel, scored by R^2.
+    """
+    if classes is None:
+        pred = mean[:, 0]
+        return pred, r2(pred, truth)
+    if mean.shape[1] > 1:
+        pred = classes[classify_onehot(mean)]
+    else:
+        pred = np.full(mean.shape[0], classes[0])
+    return pred, micro_f1(pred, truth)
+
+
 def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
                   grid: Optional[np.ndarray] = None, task: str = "classification"):
     """Validation grid search for the nugget; ties go to the smaller value.
@@ -210,35 +240,24 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
         raise ValueError("empty nugget grid")
     grid = np.sort(grid)
     targets = np.asarray(targets)
+    truth_val = targets[split.val]
+    if task == "regression" and np.all(truth_val == truth_val[0]):
+        warnings.warn(
+            "validation target is constant, R^2 is undefined; "
+            "falling back to the smallest nugget",
+            RuntimeWarning,
+        )
+        return float(grid[0]), [(float(grid[0]), float("nan"))]
+    y_train, classes = training_targets(targets, split.train, task)
     lowrank = isinstance(kernel_or_factor, LowRankFactor)
-
-    if task == "classification":
-        y_train, classes = one_hot_targets(targets[split.train], np.unique(targets))
-    else:
-        truth_val = targets[split.val].astype(np.float64)
-        if np.all(truth_val == truth_val[0]):
-            warnings.warn(
-                "validation target is constant, R^2 is undefined; "
-                "falling back to the smallest nugget",
-                RuntimeWarning,
-            )
-            return float(grid[0]), [(float(grid[0]), float("nan"))]
-        y_train = targets[split.train].astype(np.float64)
+    posterior = LowRankPosterior if lowrank else ExactPosterior
 
     best_eps, best_score = None, -np.inf
     trace: List[tuple] = []
     for eps in grid:
-        if lowrank:
-            fit = LowRankPosterior(kernel_or_factor, split.train, y_train, float(eps))
-        else:
-            fit = ExactPosterior(kernel_or_factor, split.train, y_train, float(eps))
-        mean_val = fit.mean(split.val)
-        if task == "classification":
-            score = micro_f1(classes[classify_onehot(mean_val)], targets[split.val])
-        else:
-            score = r2(mean_val[:, 0], targets[split.val])
+        fit = posterior(kernel_or_factor, split.train, y_train, float(eps))
+        _, score = score_mean(fit.mean(split.val), truth_val, classes)
         trace.append((float(eps), float(score)))
         if score > best_score:  # strict: equal scores keep the smaller eps
             best_eps, best_score = float(eps), score
     return best_eps, trace
-

@@ -71,10 +71,6 @@ class LowRankFactor:
     def gram_diag(self) -> np.ndarray:
         return np.einsum("ij,ij->i", self.q, self.q)
 
-    def gram_cols(self, idx: np.ndarray) -> np.ndarray:
-        """Columns K[:, idx] of the represented kernel."""
-        return self.q @ self.q[idx].T
-
 
 @dataclass(frozen=True, eq=False)
 class LandmarkSet:

@@ -32,12 +32,10 @@ from .finite_width import McConfig, compare_covariance, sample_covariance
 from .inference import (
     ExactPosterior,
     LowRankPosterior,
-    classify_onehot,
     default_nugget_grid,
-    micro_f1,
     nugget_search,
-    one_hot_targets,
-    r2,
+    score_mean,
+    training_targets,
 )
 from .kernels import (
     GraphConv,
@@ -50,6 +48,7 @@ from .kernels import (
 )
 from .limits import depth_scan, mlp_fixed_point
 from .programs import (
+    ARCHITECTURES,
     KernelProgram,
     gcnii_beta_schedule,
     ggp_kernel,
@@ -239,11 +238,7 @@ def _fit_and_score(rep, ds: Dataset, nugget: float, names: tuple, phases: _Phase
     Returns the fit and, per split name, the predictions and the metric
     (Micro-F1 or R^2).  A dataset with a single class predicts it everywhere.
     """
-    if ds.task == "classification":
-        classes = np.unique(ds.targets)
-        y_train, _ = one_hot_targets(ds.targets[ds.splits.train], classes)
-    else:
-        y_train = ds.targets[ds.splits.train].astype(np.float64)
+    y_train, classes = training_targets(ds.targets, ds.splits.train, ds.task)
 
     with phases.phase("solve"):
         posterior = LowRankPosterior if isinstance(rep, LowRankFactor) else ExactPosterior
@@ -255,16 +250,7 @@ def _fit_and_score(rep, ds: Dataset, nugget: float, names: tuple, phases: _Phase
     predictions, metrics = {}, {}
     for name, mean in means.items():
         truth = ds.targets[getattr(ds.splits, name)]
-        if ds.task == "classification":
-            if mean.shape[1] > 1:
-                pred = classes[classify_onehot(mean)]
-            else:
-                pred = np.full(mean.shape[0], classes[0])
-            metrics[name] = micro_f1(pred, truth)
-        else:
-            pred = mean[:, 0]
-            metrics[name] = r2(pred, truth)
-        predictions[name] = pred
+        predictions[name], metrics[name] = score_mean(mean, truth, classes)
     return fit, predictions, metrics
 
 
@@ -453,23 +439,10 @@ def run_mc_verify(cfg: RunConfig) -> Report:
         raise ValueError("the finite-width surrogate feeds raw features; base must be inner")
     ds = load_dataset(cfg.dataset)
     sigma_b = _default_sigma_b(cfg, ds.task)
-    a = _operator_for(cfg.arch, ds)
-    program = _program_for(cfg, cfg.arch, a, sigma_b)
+    program = _program_for(cfg, cfg.arch, _operator_for(cfg.arch, ds), sigma_b)
     analytic = run_exact(program, base_inner(ds.features))
-    mc = McConfig(
-        architecture=cfg.arch,
-        depth=cfg.layers,
-        width=cfg.width,
-        n_samples=cfg.samples,
-        seed=cfg.seed,
-        sigma_b=sigma_b,
-        sigma_w=cfg.sigma_w,
-        alpha=cfg.alpha,
-        beta_schedule=program.beta_schedule,
-        sigma_w1=cfg.sigma_w1,
-        sigma_w2=cfg.sigma_w2,
-    )
-    empirical = sample_covariance(mc, a, ds.features)
+    mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
+    empirical = sample_covariance(mc, ds.features)
     err = compare_covariance(empirical, analytic)
 
     report = Report("mc-verify")
@@ -494,7 +467,11 @@ def run_benchmark(cfg: RunConfig) -> Report:
         )
     if cfg.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
-    arch = cfg.arch if cfg.arch in ("gcn", "gcnii", "gin", "sage") else "gcn"
+    if cfg.arch not in ARCHITECTURES:
+        raise ValueError(
+            f"benchmark times the layered architectures {', '.join(ARCHITECTURES)}, "
+            f"not {cfg.arch!r}"
+        )
     n_landmarks = cfg.landmarks if cfg.landmarks is not None else 128
     sigma_b = 0.0 if cfg.sigma_b is None else cfg.sigma_b
     cases = []
@@ -505,7 +482,7 @@ def run_benchmark(cfg: RunConfig) -> Report:
         landmarks = LandmarkSet.draw(
             ds.splits.train, min(n_landmarks, ds.splits.train.size), cfg.seed
         )
-        program = _program_for(cfg, arch, _operator_for(arch, ds), sigma_b)
+        program = _program_for(cfg, cfg.arch, _operator_for(cfg.arch, ds), sigma_b)
         cases.append((int(n), ds, landmarks, program))
 
     def build(ds, landmarks, program):
@@ -531,7 +508,7 @@ def run_benchmark(cfg: RunConfig) -> Report:
     slope = float(np.polyfit(np.log(sizes), np.log(medians), 1)[0])
 
     report = Report("benchmark")
-    report.set("arch", arch)
+    report.set("arch", cfg.arch)
     report.set("layers", cfg.layers)
     report.set("landmarks", n_landmarks)
     report.set("repeats", cfg.repeats)

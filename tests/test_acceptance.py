@@ -48,11 +48,12 @@ def test_criterion_1_width_convergence():
     t0 = time.perf_counter()
     a = sym_operator(8, 5, 0)
     x = random_features(8, 6, 1)
-    analytic = run_exact(KernelProgram.gcn(a, 2, sigma_b=0.1, sigma_w=1.0), base_inner(x))
+    program = KernelProgram.gcn(a, 2, sigma_b=0.1, sigma_w=1.0)
+    analytic = run_exact(program, base_inner(x))
 
     def err(width, samples, seed):
-        cfg = McConfig("gcn", 2, width, samples, seed=seed, sigma_b=0.1, sigma_w=1.0)
-        return compare_covariance(sample_covariance(cfg, a, x), analytic)
+        cfg = McConfig(program, width, samples, seed=seed)
+        return compare_covariance(sample_covariance(cfg, x), analytic)
 
     headline = err(4096, 200, 0)
     means = [

@@ -6,7 +6,6 @@ from graphgp import (
     McConfig,
     base_inner,
     compare_covariance,
-    identity_adjacency,
     run_exact,
     sample_covariance,
 )
@@ -16,22 +15,18 @@ from conftest import random_features, row_operator, sym_operator
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown architecture"):
-        McConfig("transformer", 2, 8, 4, seed=0)
-    with pytest.raises(ValueError, match="depth and width"):
-        McConfig("gcn", 0, 8, 4, seed=0)
-    with pytest.raises(ValueError, match="depth and width"):
-        McConfig("gcn", 2, 0, 4, seed=0)
+    prog = KernelProgram.gcn(sym_operator(6, 3, 0), 2)
+    with pytest.raises(ValueError, match="width must be positive"):
+        McConfig(prog, 0, 4, seed=0)
     with pytest.raises(ValueError, match="at least one sample"):
-        McConfig("gcn", 2, 8, 0, seed=0)
-    with pytest.raises(ValueError, match="one beta per layer"):
-        McConfig("gcnii", 3, 8, 4, seed=0, beta_schedule=(0.5,))
+        McConfig(prog, 8, 0, seed=0)
 
 
 @pytest.mark.parametrize("field", ["sigma_b", "sigma_w", "sigma_w1", "sigma_w2"])
 def test_config_rejects_negative_scales(field):
+    # the sampler draws the program's network, so the program checks its scales
     with pytest.raises(ValueError, match="sigma parameters must be nonnegative"):
-        McConfig("gcn", 2, 8, 4, seed=0, **{field: -0.5})
+        KernelProgram("gcn", sym_operator(6, 3, 0), 2, **{field: -0.5})
 
 
 class _IdentityNormals:
@@ -98,38 +93,27 @@ def test_factor_choice_depends_on_shape_alone():
 
 
 def test_features_shape_checked():
-    a = sym_operator(6, 3, 0)
-    cfg = McConfig("gcn", 1, 8, 2, seed=0)
+    cfg = McConfig(KernelProgram.gcn(sym_operator(6, 3, 0), 1), 8, 2, seed=0)
     with pytest.raises(ValueError, match="one row per node"):
-        sample_covariance(cfg, a, np.ones(6))
+        sample_covariance(cfg, np.ones(6))
     with pytest.raises(ValueError, match="one row per node"):
-        sample_covariance(cfg, a, np.ones((5, 3)))
+        sample_covariance(cfg, np.ones((5, 3)))
 
 
 def test_fixed_seed_is_bit_reproducible():
-    a = sym_operator(7, 4, 1)
     x = random_features(7, 5, 2)
-    cfg = McConfig("gcn", 2, 16, 6, seed=42, sigma_b=0.1)
-    assert np.array_equal(sample_covariance(cfg, a, x), sample_covariance(cfg, a, x))
+    cfg = McConfig(KernelProgram.gcn(sym_operator(7, 4, 1), 2, sigma_b=0.1), 16, 6, seed=42)
+    pooled = sample_covariance(cfg, x)
+    assert np.array_equal(pooled, sample_covariance(cfg, x))
+    assert np.abs(pooled - pooled.T).max() <= 1e-12
 
 
 def test_seed_changes_the_draw():
-    a = sym_operator(7, 4, 1)
+    prog = KernelProgram.gcn(sym_operator(7, 4, 1), 2)
     x = random_features(7, 5, 2)
-    one = sample_covariance(McConfig("gcn", 2, 16, 6, seed=0), a, x)
-    two = sample_covariance(McConfig("gcn", 2, 16, 6, seed=1), a, x)
+    one = sample_covariance(McConfig(prog, 16, 6, seed=0), x)
+    two = sample_covariance(McConfig(prog, 16, 6, seed=1), x)
     assert np.abs(one - two).max() > 1e-6
-
-
-def test_per_coordinate_estimates_pool_to_the_mean():
-    a = sym_operator(8, 5, 0)
-    x = random_features(8, 6, 1)
-    cfg = McConfig("gcn", 2, 32, 10, seed=3, sigma_b=0.1)
-    per_unit = sample_covariance(cfg, a, x, per_coordinate=True)
-    pooled = sample_covariance(cfg, a, x)
-    assert per_unit.shape == (32, 8, 8)
-    assert np.allclose(per_unit.mean(axis=0), pooled, rtol=0, atol=1e-12)
-    assert np.abs(pooled - pooled.T).max() <= 1e-12
 
 
 def test_compare_covariance_is_relative_frobenius():
@@ -145,24 +129,24 @@ def test_compare_covariance_is_relative_frobenius():
 
 
 def test_gcn_draws_match_analytic_kernel():
-    a = sym_operator(8, 5, 0)
     x = random_features(8, 6, 1)
-    k = run_exact(KernelProgram.gcn(a, 2, sigma_b=0.2, sigma_w=1.0), base_inner(x))
-    cfg = McConfig("gcn", 2, 256, 80, seed=7, sigma_b=0.2, sigma_w=1.0)
-    assert compare_covariance(sample_covariance(cfg, a, x), k) <= 0.04
+    prog = KernelProgram.gcn(sym_operator(8, 5, 0), 2, sigma_b=0.2, sigma_w=1.0)
+    k = run_exact(prog, base_inner(x))
+    cfg = McConfig(prog, 256, 80, seed=7)
+    assert compare_covariance(sample_covariance(cfg, x), k) <= 0.04
 
 
 def test_sage_self_branch_matches_analytic_kernel():
-    a = row_operator(8, 5, 0)
     x = random_features(8, 6, 1)
-    k = run_exact(KernelProgram.sage(a, 2, sigma_w1=0.8, sigma_w2=1.0), base_inner(x))
-    cfg = McConfig("sage", 2, 512, 80, seed=11, sigma_w1=0.8, sigma_w2=1.0)
-    assert compare_covariance(sample_covariance(cfg, a, x), k) <= 0.04
+    prog = KernelProgram.sage(row_operator(8, 5, 0), 2, sigma_w1=0.8, sigma_w2=1.0)
+    k = run_exact(prog, base_inner(x))
+    cfg = McConfig(prog, 512, 80, seed=11)
+    assert compare_covariance(sample_covariance(cfg, x), k) <= 0.04
 
 
 def test_graph_free_draws_match_analytic_kernel():
-    a = identity_adjacency(6)
     x = random_features(6, 5, 2)
-    k = run_exact(KernelProgram.mlp(6, 3, sigma_b=0.3, sigma_w=1.2), base_inner(x))
-    cfg = McConfig("mlp", 3, 512, 80, seed=13, sigma_b=0.3, sigma_w=1.2)
-    assert compare_covariance(sample_covariance(cfg, a, x), k) <= 0.04
+    prog = KernelProgram.mlp(6, 3, sigma_b=0.3, sigma_w=1.2)
+    k = run_exact(prog, base_inner(x))
+    cfg = McConfig(prog, 512, 80, seed=13)
+    assert compare_covariance(sample_covariance(cfg, x), k) <= 0.04

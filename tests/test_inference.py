@@ -187,6 +187,20 @@ def test_nugget_search_ties_prefer_smaller():
     assert nugget_search(q, split, targets, grid=np.array([10.0, 1.0, 0.1]))[0] == eps
 
 
+@pytest.mark.parametrize("lowrank", [False, True])
+def test_nugget_search_single_class_takes_smallest_nugget(lowrank):
+    # one class: every candidate predicts it everywhere, so all scores tie
+    rng = np.random.default_rng(7)
+    q = rng.normal(size=(10, 4))
+    rep = LowRankFactor(q) if lowrank else q @ q.T
+    split = SplitIndices(np.arange(5), np.array([5, 6, 7]), np.array([8, 9]))
+    eps, trace = nugget_search(rep, split, np.ones(10, dtype=np.int64))
+    grid = default_nugget_grid()
+    assert eps == grid[0]
+    assert [e for e, _ in trace] == list(grid)
+    assert all(s == 1.0 for _, s in trace)
+
+
 def test_nugget_search_regression_constant_validation_warns():
     rng = np.random.default_rng(5)
     k = rng.normal(size=(8, 8))

@@ -268,19 +268,5 @@ def test_finite_width_agreement(arch):
     else:
         prog = KernelProgram.sage(row, 2, sigma_w1=0.8, sigma_w2=1.0)
     analytic = run_exact(prog, base_inner(x))
-    cfg = McConfig(
-        architecture=arch,
-        depth=2,
-        width=1024,
-        n_samples=120,
-        seed=42,
-        sigma_b=getattr(prog, "sigma_b", 0.0),
-        sigma_w=prog.sigma_w,
-        alpha=prog.alpha,
-        beta_schedule=prog.beta_schedule,
-        sigma_w1=prog.sigma_w1,
-        sigma_w2=prog.sigma_w2,
-    )
-    a = row if arch == "sage" else sym
-    empirical = sample_covariance(cfg, a, x)
+    empirical = sample_covariance(McConfig(prog, width=1024, n_samples=120, seed=42), x)
     assert compare_covariance(empirical, analytic) <= 0.05
