@@ -79,11 +79,24 @@ def one_hot_targets(labels: np.ndarray, classes: Optional[np.ndarray] = None):
 # fitted solvers
 
 
+def train_block(kernel_or_factor, train_idx: np.ndarray) -> np.ndarray:
+    """Nugget-free training block: K_bb of a dense kernel, Q_b^T Q_b of a factor."""
+    train_idx = np.asarray(train_idx, dtype=np.int64)
+    if isinstance(kernel_or_factor, LowRankFactor):
+        qb = kernel_or_factor.q[train_idx]
+        return qb.T @ qb
+    return np.asarray(kernel_or_factor, dtype=np.float64)[np.ix_(train_idx, train_idx)]
+
+
 class ExactPosterior:
-    """Factorized training block of a dense kernel, ready to predict."""
+    """Factorized training block of a dense kernel, ready to predict.
+
+    ``block``, when given, is ``train_block(kernel, train_idx)`` formed
+    beforehand; it is copied, never changed.
+    """
 
     def __init__(self, kernel: np.ndarray, train_idx: np.ndarray,
-                 y_train: np.ndarray, nugget: float):
+                 y_train: np.ndarray, nugget: float, block: Optional[np.ndarray] = None):
         if nugget < 0:
             raise ValueError("nugget must be nonnegative")
         kernel = np.asarray(kernel, dtype=np.float64)
@@ -95,7 +108,7 @@ class ExactPosterior:
             raise ValueError(
                 f"{y.shape[0]} training targets for {train_idx.size} training nodes"
             )
-        kbb = kernel[np.ix_(train_idx, train_idx)].copy()
+        kbb = train_block(kernel, train_idx) if block is None else block.copy()
         kbb[np.diag_indices_from(kbb)] += nugget
         try:
             factor = scipy.linalg.cho_factor(kbb)
@@ -121,10 +134,14 @@ class ExactPosterior:
 
 
 class LowRankPosterior:
-    """Factorized r x r training Gram of a low-rank kernel factor."""
+    """Factorized r x r training Gram of a low-rank kernel factor.
+
+    ``block``, when given, is ``train_block(factor, train_idx)`` formed
+    beforehand; it is copied, never changed.
+    """
 
     def __init__(self, factor: LowRankFactor, train_idx: np.ndarray,
-                 y_train: np.ndarray, nugget: float):
+                 y_train: np.ndarray, nugget: float, block: Optional[np.ndarray] = None):
         if nugget <= 0:
             raise ValueError("low-rank posterior needs a positive nugget")
         train_idx = np.asarray(train_idx, dtype=np.int64)
@@ -136,7 +153,7 @@ class LowRankPosterior:
                 f"{y.shape[0]} training targets for {train_idx.size} training nodes"
             )
         qb = factor.q[train_idx]
-        gram = qb.T @ qb
+        gram = qb.T @ qb if block is None else block.copy()
         gram[np.diag_indices_from(gram)] += nugget
         self.factor = factor
         self.nugget = float(nugget)
@@ -251,11 +268,12 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
     y_train, classes = training_targets(targets, split.train, task)
     lowrank = isinstance(kernel_or_factor, LowRankFactor)
     posterior = LowRankPosterior if lowrank else ExactPosterior
+    block = train_block(kernel_or_factor, split.train)
 
     best_eps, best_score = None, -np.inf
     trace: List[tuple] = []
     for eps in grid:
-        fit = posterior(kernel_or_factor, split.train, y_train, float(eps))
+        fit = posterior(kernel_or_factor, split.train, y_train, float(eps), block=block)
         _, score = score_mean(fit.mean(split.val), truth_val, classes)
         trace.append((float(eps), float(score)))
         if score > best_score:  # strict: equal scores keep the smaller eps

@@ -17,6 +17,15 @@ The ReLU expectation uses the closed form
 
 so the diagonal is halved exactly and the correlation version
 f(rho) = (sin t + (pi - t) rho) / pi maps [-1, 1] into [0, 1].
+
+Memory: the dense ReLU expectation and GraphConv work in row tiles of about
+_TILE_ELEMENTS entries, writing into one preallocated output, so each holds
+its input, its output and (GraphConv only) the product A K at its peak,
+plus tile buffers; no other N x N temporary.  Run one after the other with
+the caller dropping each input, a dense layer peaks near 3 N x N arrays.
+The low-rank activation writes the ReLU expectation over the N x r
+landmark columns in place.  Tiling changes no operation or its order, so
+the results are bit for bit those of the untiled expressions.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ from .adjacency import SparseAdjacency
 VAR_FLOOR_REL = 1e-12
 # Landmark-block eigenvalues below EIG_FLOOR_REL * lambda_max are clamped.
 EIG_FLOOR_REL = 1e-10
+# Entries per row tile of the dense ReLU expectation and GraphConv.
+_TILE_ELEMENTS = 2**18
 
 
 class FactorizationError(RuntimeError):
@@ -234,26 +245,42 @@ def correlation_map(rho):
     return (np.sin(t) + (np.pi - t) * r) / np.pi
 
 
+def _tile_rows(n_cols: int) -> int:
+    """Rows of an n_cols-wide array that fit in one tile (at least one)."""
+    return max(1, _TILE_ELEMENTS // max(n_cols, 1))
+
+
 def _relu_gauss(k_block: np.ndarray, d_rows: np.ndarray, d_cols: np.ndarray,
-                var_floor: float) -> np.ndarray:
+                var_floor: float, out: np.ndarray) -> np.ndarray:
     """Entrywise ReLU expectation for a block of K given the two diagonals.
 
-    Rows/columns whose variance is at or below ``var_floor`` are zeroed (a
-    degenerate node has no signal to propagate).
+    Writes into ``out`` (which may be ``k_block`` itself) row tile by row
+    tile and returns it.  Rows/columns whose variance is at or below
+    ``var_floor`` are zeroed (a degenerate node has no signal to propagate).
     """
     alive_r = d_rows > var_floor
     alive_c = d_cols > var_floor
     sr = np.sqrt(np.where(alive_r, d_rows, 1.0))
     sc = np.sqrt(np.where(alive_c, d_cols, 1.0))
-    denom = np.outer(sr, sc)
-    rho = np.clip(k_block / denom, -1.0, 1.0)
-    t = np.arccos(rho)
-    c = (0.5 / np.pi) * denom * (np.sin(t) + (np.pi - t) * rho)
+    rows = _tile_rows(sc.size)
+    for r0 in range(0, sr.size, rows):
+        r1 = r0 + rows
+        rho = out[r0:r1]
+        denom = np.outer(sr[r0:r1], sc)
+        np.divide(k_block[r0:r1], denom, out=rho)
+        np.clip(rho, -1.0, 1.0, out=rho)
+        t = np.arccos(rho)
+        sin_t = np.sin(t)
+        np.subtract(np.pi, t, out=t)  # the order of the untiled expression:
+        t *= rho                      # (0.5 / pi) * denom * (sin t + (pi - t) rho)
+        t += sin_t
+        denom *= 0.5 / np.pi
+        np.multiply(denom, t, out=rho)
     if not alive_r.all():
-        c[~alive_r, :] = 0.0
+        out[~alive_r, :] = 0.0
     if not alive_c.all():
-        c[:, ~alive_c] = 0.0
-    return c
+        out[:, ~alive_c] = 0.0
+    return out
 
 
 def relu_expectation(k: np.ndarray) -> np.ndarray:
@@ -261,16 +288,38 @@ def relu_expectation(k: np.ndarray) -> np.ndarray:
 
     The diagonal of the result is exactly half the input diagonal (written
     explicitly rather than through arccos, which would round).  Nodes with
-    vanishing variance get zero rows and columns.
+    vanishing variance get zero rows and columns.  Besides ``k`` and the
+    result, only row-tile buffers are allocated.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("kernel must be square")
     d = np.maximum(k.diagonal(), 0.0)
     var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
-    c = _relu_gauss(k, d, d, var_floor)
+    c = _relu_gauss(k, d, d, var_floor, np.empty(k.shape))
     np.fill_diagonal(c, np.where(d > var_floor, 0.5 * d, 0.0))
     return c
+
+
+def _graph_conv(m, k: np.ndarray) -> np.ndarray:
+    """Symmetrised A K A^T for a symmetric K, with A a sparse matrix.
+
+    A K is formed once and dropped after the product's row tiles are filled
+    from it; the symmetrisation 0.5 (X + X^T) runs in place over row strips.
+    """
+    n = k.shape[0]
+    mk = m @ k
+    out = np.empty((n, n))
+    rows = _tile_rows(n)
+    for r0 in range(0, n, rows):
+        out[r0:r0 + rows] = (m @ mk[r0:r0 + rows].T).T  # rows of (A (A K)^T)^T
+    del mk
+    for r0 in range(0, n, rows):
+        r1 = r0 + rows
+        strip = 0.5 * (out[r0:r1, r0:] + out[r0:, r0:r1].T)
+        out[r0:r1, r0:] = strip
+        out[r0:, r0:r1] = strip.T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +377,7 @@ def apply_block_exact(k: np.ndarray, block: Block) -> np.ndarray:
             raise ValueError(
                 f"operator size {block.a.n_nodes} does not match kernel size {k.shape[0]}"
             )
-        m = block.a.to_csr()
-        out = m @ (m @ k).T  # A (A K)^T = A K^T A^T, symmetric input assumed
-        out = 0.5 * (out + out.T)
-        return out
+        return _graph_conv(block.a.to_csr(), k)
     if isinstance(block, Activation):
         return relu_expectation(k)
     if isinstance(block, IndependentAdd):
@@ -378,7 +424,7 @@ def apply_block_lowrank(
         d = np.einsum("ij,ij->i", q, q)
         k_cols = q @ q[idx].T
         var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
-        c_cols = _relu_gauss(k_cols, d, d[idx], var_floor)
+        c_cols = _relu_gauss(k_cols, d, d[idx], var_floor, out=k_cols)
         # landmark-with-itself entries are diagonal entries: halve exactly
         alive = d[idx] > var_floor
         c_cols[idx, np.arange(idx.size)] = np.where(alive, 0.5 * d[idx], 0.0)

@@ -129,10 +129,12 @@ def _chain(apply: Callable, rep, *blocks):
     return rep
 
 
-def _layer(prog: KernelProgram, layer: int, rep, skip, apply: Callable):
-    """One layer of the program, written once against ``apply(rep, block)``."""
+def _layer(prog: KernelProgram, layer: int, c, skip, apply: Callable):
+    """One layer of the program, written once against ``apply(rep, block)``.
+
+    ``c`` is the layer's input after its activation, which ``_drive`` applies.
+    """
     conv = GraphConv(prog.a)
-    c = apply(rep, Activation()) if layer > 0 else rep
     if prog.architecture in ("gcn", "mlp"):
         return _chain(apply, c, conv, Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "gin":
@@ -151,13 +153,19 @@ def _drive(program: KernelProgram, rep0, apply: Callable,
            on_layer: Optional[Callable] = None):
     """Fold the program's layers over ``rep0``; a failing layer names itself.
 
-    Only the current representation (and the gcnii skip) stays alive;
+    Each layer but the first starts with its activation, applied here so
+    that the previous layer's output is released before the layer's
+    GraphConv runs.  Only the current representation (and the gcnii skip)
+    stays alive: on the dense path a layer peaks near 3 N x N arrays (4 for
+    gcnii and sage), not counting ``rep0`` or kernels an observer keeps.
     ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
     """
     skip = apply(rep0, Weight(program.alpha)) if program.uses_initial_skip else None
     rep = rep0
     for layer in range(program.depth):
         try:
+            if layer > 0:
+                rep = apply(rep, Activation())
             rep = _layer(program, layer, rep, skip, apply)
         except FactorizationError as err:
             raise FactorizationError(

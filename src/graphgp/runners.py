@@ -254,6 +254,21 @@ def _fit_and_score(rep, ds: Dataset, nugget: float, names: tuple, phases: _Phase
     return fit, predictions, metrics
 
 
+def _report_hyperparameters(report: Report, cfg: RunConfig, sigma_b: float) -> None:
+    """The sigma lines, then the architecture's own hyperparameters."""
+    report.set("sigma_b", float(sigma_b))
+    report.set("sigma_w", float(cfg.sigma_w))
+    if cfg.arch == "gcnii":
+        report.set("alpha", float(cfg.alpha))
+        report.set("decay", float(cfg.decay))
+    if cfg.arch == "sage":
+        report.set("sigma_w1", float(cfg.sigma_w1))
+        report.set("sigma_w2", float(cfg.sigma_w2))
+    if cfg.arch == "ggp":
+        report.set("poly_c", float(cfg.poly_c))
+        report.set("poly_d", float(cfg.poly_d))
+
+
 def run_infer(cfg: RunConfig) -> Report:
     """Posterior inference on a dataset directory; the flagship run."""
     cfg.validate()
@@ -312,17 +327,7 @@ def run_infer(cfg: RunConfig) -> Report:
     report.set("arch", cfg.arch)
     report.set("path", cfg.path)
     report.set("layers", cfg.layers)
-    report.set("sigma_b", float(sigma_b))
-    report.set("sigma_w", float(cfg.sigma_w))
-    if cfg.arch == "gcnii":
-        report.set("alpha", float(cfg.alpha))
-        report.set("decay", float(cfg.decay))
-    if cfg.arch == "sage":
-        report.set("sigma_w1", float(cfg.sigma_w1))
-        report.set("sigma_w2", float(cfg.sigma_w2))
-    if cfg.arch == "ggp":
-        report.set("poly_c", float(cfg.poly_c))
-        report.set("poly_d", float(cfg.poly_d))
+    _report_hyperparameters(report, cfg, sigma_b)
     if cfg.arch == "rbf":
         report.set("gamma", float(gamma if gamma is not None else 1.0))
     report.set("base", "rbf" if cfg.arch == "rbf" else ("poly" if cfg.arch == "ggp" else cfg.base))
@@ -384,8 +389,7 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     report.set("task", task)
     report.set("arch", cfg.arch)
     report.set("layers", cfg.layers)
-    report.set("sigma_b", float(sigma_b))
-    report.set("sigma_w", float(cfg.sigma_w))
+    _report_hyperparameters(report, cfg, sigma_b)
 
     if cfg.arch == "mlp":
         result = mlp_fixed_point(sigma_b, cfg.sigma_w, k0, cfg.layers)
@@ -452,8 +456,7 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     report.set("width", cfg.width)
     report.set("samples", cfg.samples)
     report.set("seed", cfg.seed)
-    report.set("sigma_b", float(sigma_b))
-    report.set("sigma_w", float(cfg.sigma_w))
+    _report_hyperparameters(report, cfg, sigma_b)
     report.set("rel_frobenius_error", float(err))
     return report
 

@@ -183,6 +183,21 @@ def test_mc_verify_smoke(arch, capsys):
     assert float(line.split(":")[1]) <= 0.05
 
 
+@pytest.mark.parametrize("command", ["mc-verify", "depth-scan"])
+@pytest.mark.parametrize("arch, flags, lines", [
+    ("gcnii", ("--alpha", "0.6", "--decay", "3.0"), ["alpha: 0.6", "decay: 3"]),
+    ("sage", ("--sigma-w1", "1.5", "--sigma-w2", "0.5"), ["sigma_w1: 1.5", "sigma_w2: 0.5"]),
+])
+def test_diagnostics_report_arch_hyperparameters(command, arch, flags, lines, capsys):
+    size = ("--width", "64", "--samples", "5") if command == "mc-verify" else ()
+    code, out, _ = run_cli(
+        capsys, command, "--dataset", FIXTURE_DIR, "--arch", arch, "--layers", "3",
+        *size, *flags,
+    )
+    assert code == 0
+    assert all(line in out.splitlines() for line in lines)
+
+
 def test_benchmark_smoke(capsys):
     code, out, _ = run_cli(
         capsys, "benchmark", "--sizes", "100,200", "--landmarks", "16",

@@ -14,6 +14,7 @@ from graphgp import (
     one_hot_targets,
     r2,
 )
+from graphgp.inference import train_block
 
 
 def test_split_indices_validation():
@@ -123,6 +124,28 @@ def test_exact_posterior_jitter_recovers_singular_block():
     k = np.outer(v, v)
     fit = ExactPosterior(k, np.array([0, 1]), np.array([1.0, 1.0]), nugget=0.0)
     assert np.isfinite(fit.mean(np.array([2]))).all()
+
+
+def test_shared_training_block_is_copied_not_changed():
+    # the jitter retry fires on this singular block; the block passed in keeps
+    # its values, and the fit equals one that forms the block itself
+    v = np.array([1.0, 1.0, 2.0])
+    k = np.outer(v, v)
+    train = np.array([0, 1])
+    block = train_block(k, train)
+    before = block.copy()
+    shared = ExactPosterior(k, train, np.array([1.0, 1.0]), nugget=0.0, block=block)
+    own = ExactPosterior(k, train, np.array([1.0, 1.0]), nugget=0.0)
+    assert np.array_equal(block, before)
+    assert np.array_equal(shared.mean(np.array([2])), own.mean(np.array([2])))
+    q = LowRankFactor(np.random.default_rng(0).normal(size=(6, 2)))
+    train = np.array([0, 2, 3])
+    block = train_block(q, train)
+    before = block.copy()
+    shared = LowRankPosterior(q, train, np.ones(3), 0.5, block=block)
+    own = LowRankPosterior(q, train, np.ones(3), 0.5)
+    assert np.array_equal(block, before)
+    assert np.array_equal(shared.mean(np.arange(6)), own.mean(np.arange(6)))
 
 
 def test_exact_posterior_indefinite_block_raises():

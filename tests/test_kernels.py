@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from graphgp import kernels
 from graphgp import (
     Activation,
     Bias,
@@ -21,7 +22,7 @@ from graphgp import (
     relu_expectation,
 )
 
-from conftest import random_psd, sym_operator
+from conftest import random_psd, row_operator, sym_operator
 
 
 # ---------------------------------------------------------------------------
@@ -292,3 +293,73 @@ def test_negative_sigma_rejected():
         Weight(-1.0)
     with pytest.raises(ValueError):
         MixedWeight(0.5, 0.5, -1.0)
+
+
+# ---------------------------------------------------------------------------
+# row tiles: a tile of a few rows gives many tiles and a ragged last one
+
+
+def untiled_relu_gauss(k, d_rows, d_cols, var_floor):
+    """The ReLU expectation of a block as one whole-array expression."""
+    alive_r, alive_c = d_rows > var_floor, d_cols > var_floor
+    denom = np.outer(np.sqrt(np.where(alive_r, d_rows, 1.0)),
+                     np.sqrt(np.where(alive_c, d_cols, 1.0)))
+    rho = np.clip(k / denom, -1.0, 1.0)
+    t = np.arccos(rho)
+    c = (0.5 / np.pi) * denom * (np.sin(t) + (np.pi - t) * rho)
+    c[~alive_r, :] = 0.0
+    c[:, ~alive_c] = 0.0
+    return c
+
+
+def assert_close(got, ref):
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_tiled_relu_expectation_matches_untiled(monkeypatch):
+    n, dead = 53, [0, 17, 52]
+    k = random_psd(n, 21)
+    k[dead, :] = 0.0
+    k[:, dead] = 0.0
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 3 * n)  # 17 tiles of 3 rows, then 2
+    d = k.diagonal().copy()
+    floor = kernels.VAR_FLOOR_REL * d.max()
+    ref = untiled_relu_gauss(k, d, d, floor)
+    np.fill_diagonal(ref, np.where(d > floor, 0.5 * d, 0.0))
+    got = relu_expectation(k)
+    assert_close(got, ref)
+    assert np.all(got[dead, :] == 0.0) and np.all(got[:, dead] == 0.0)
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_tiled_relu_gauss_block_matches_untiled(monkeypatch, in_place):
+    # 37 nodes x 5 landmark columns, as on the low-rank path; node 3 is dead,
+    # and so is the landmark column of node 30
+    rng = np.random.default_rng(4)
+    q = rng.normal(size=(37, 3))
+    q[[3, 30]] = 0.0
+    idx = np.array([2, 9, 14, 30, 36])
+    k = q @ q[idx].T
+    d = np.einsum("ij,ij->i", q, q)
+    floor = kernels.VAR_FLOOR_REL * d.max()
+    ref = untiled_relu_gauss(k, d, d[idx], floor)
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 4 * 5)  # 9 tiles of 4 rows, then 1
+    out = k if in_place else np.empty_like(k)
+    got = kernels._relu_gauss(k, d, d[idx], floor, out=out)
+    assert got is out
+    assert_close(got, ref)
+    assert np.all(got[3] == 0.0) and np.all(got[:, 3] == 0.0)
+
+
+@pytest.mark.parametrize("operator", [sym_operator, row_operator])
+def test_tiled_graphconv_matches_untiled(monkeypatch, operator):
+    n = 53
+    a = operator(n, extra=20, seed=2)
+    k = random_psd(n, 8)
+    m = a.toarray()
+    x = m @ (m @ k).T
+    ref = 0.5 * (x + x.T)
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 3 * n)
+    got = apply_block_exact(k, GraphConv(a))
+    assert_close(got, ref)
+    assert np.array_equal(got, got.T)

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from graphgp import kernels
 from graphgp import (
     FactorizationError,
     KernelProgram,
@@ -270,3 +273,31 @@ def test_finite_width_agreement(arch):
     analytic = run_exact(prog, base_inner(x))
     empirical = sample_covariance(McConfig(prog, width=1024, n_samples=120, seed=42), x)
     assert compare_covariance(empirical, analytic) <= 0.05
+
+
+# peak of run_exact in N x N float64 arrays: the input kernel is allocated
+# before tracing starts, so a layer holds at most its activation's output, A K
+# and the product (plus the gcnii skip, or sage's second branch)
+@pytest.mark.parametrize("arch, depth, bound", [
+    ("gcn", 2, 3.1), ("gcn", 8, 3.1), ("mlp", 2, 3.1), ("gin", 2, 3.1),
+    ("gcnii", 2, 4.1), ("sage", 2, 4.1),
+])
+def test_run_exact_peak_memory(monkeypatch, arch, depth, bound):
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)  # tile buffers negligible
+    n = 1000
+    if arch == "mlp":
+        prog = KernelProgram.mlp(n, depth, sigma_b=0.1)
+    elif arch == "gcnii":
+        prog = KernelProgram.gcnii(sym_operator(n, extra=n), depth)
+    elif arch == "sage":
+        prog = KernelProgram.sage(row_operator(n, extra=n), depth, sigma_w1=0.5)
+    else:
+        prog = KernelProgram(arch, sym_operator(n, extra=n), depth, sigma_b=0.1)
+    k0 = base_inner(random_features(n, 16, 0))
+    tracemalloc.start()
+    try:
+        run_exact(prog, k0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= bound
