@@ -12,7 +12,6 @@ The CLI wraps exactly this flow; see `graphgp infer --help`.
 import numpy as np
 
 from graphgp import (
-    ExactPosterior,
     KernelProgram,
     LandmarkSet,
     LowRankPosterior,
@@ -41,7 +40,9 @@ def main():
     program = KernelProgram.gcn(normalize_sym(ds.graph), 2, sigma_w=1.0)
     kernel = run_exact(program, base_inner(ds.features))
 
-    eps, trace = nugget_search(kernel, split, ds.targets)
+    # the search returns its winning fit, ready to predict
+    fit, trace = nugget_search(kernel, split, ds.targets)
+    eps = fit.nugget
     print("nugget search on the validation split:")
     for candidate, score in trace[::3]:
         marker = " <-" if candidate == eps else ""
@@ -49,7 +50,6 @@ def main():
     print(f"selected eps={eps:.4f}\n")
 
     y_train, classes = one_hot_targets(ds.targets[split.train])
-    fit = ExactPosterior(kernel, split.train, y_train, eps)
 
     def f1(post, idx):
         return micro_f1(classes[classify_onehot(post.mean(idx))],

@@ -125,34 +125,51 @@ def _load_splits(path: str) -> SplitIndices:
     )
 
 
+def _need(directory: str, name: str, *alternatives: str) -> str:
+    """Path of the first of the named files that exists in ``directory``."""
+    for candidate in (name,) + alternatives:
+        path = os.path.join(directory, candidate)
+        if os.path.exists(path):
+            return path
+    wanted = " or ".join((name,) + alternatives)
+    raise FileNotFoundError(f"{directory}: missing {wanted}")
+
+
+def load_features(directory: str) -> np.ndarray:
+    """A dataset directory's features: features.csv, else features.bin."""
+    path = _need(directory, "features.csv", "features.bin")
+    return _load_features_csv(path) if path.endswith(".csv") else _load_features_bin(path)
+
+
+def save_splits(splits: SplitIndices, path: str) -> None:
+    """Write splits as the splits.json that load_dataset reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(
+            {
+                "train": splits.train.tolist(),
+                "val": splits.val.tolist(),
+                "test": splits.test.tolist(),
+            },
+            fh,
+        )
+        fh.write("\n")
+
+
 def load_dataset(directory: str) -> Dataset:
     """Read a dataset directory, cross-checking every dimension."""
-    def need(name: str, *alternatives: str) -> str:
-        for candidate in (name,) + alternatives:
-            path = os.path.join(directory, candidate)
-            if os.path.exists(path):
-                return path
-        wanted = " or ".join((name,) + alternatives)
-        raise FileNotFoundError(f"{directory}: missing {wanted}")
-
-    feat_path = need("features.csv", "features.bin")
-    features = (
-        _load_features_csv(feat_path)
-        if feat_path.endswith(".csv")
-        else _load_features_bin(feat_path)
-    )
+    features = load_features(directory)
     n = features.shape[0]
 
-    targets = _load_targets(need("targets.txt"))
+    targets = _load_targets(_need(directory, "targets.txt"))
     if targets.shape[0] != n:
         raise ValueError(
             f"targets.txt has {targets.shape[0]} values but features describe {n} nodes"
         )
 
-    edges = read_edge_list(need("edges.txt"))
+    edges = read_edge_list(_need(directory, "edges.txt"))
     graph = build_adjacency(edges, n, add_self_loops=False)
 
-    splits = _load_splits(need("splits.json"))
+    splits = _load_splits(_need(directory, "splits.json"))
     splits.validate_for(n)
 
     return Dataset(
@@ -183,16 +200,7 @@ def save_dataset(ds: Dataset, directory: str, binary_features: bool = False) -> 
             fh.writelines(f"{int(t)}\n" for t in ds.targets)
         else:
             fh.writelines(f"{float(t):.17g}\n" for t in ds.targets)
-    with open(os.path.join(directory, "splits.json"), "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "train": ds.splits.train.tolist(),
-                "val": ds.splits.val.tolist(),
-                "test": ds.splits.test.tolist(),
-            },
-            fh,
-        )
-        fh.write("\n")
+    save_splits(ds.splits, os.path.join(directory, "splits.json"))
 
 
 def make_splits(n_nodes: int, ratios, seed: int) -> SplitIndices:

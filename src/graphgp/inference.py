@@ -11,9 +11,12 @@ posterior mean is
     var = eps * diag( Q_* (Q_b^T Q_b + eps I)^{-1} Q_*^T ).
 
 Classification runs C independent regressions against one-hot targets and
-takes the channel argmax (a single class is predicted everywhere).  The
-nugget eps is picked on the validation split by Micro-F1 (classification)
-or R^2 (regression), with the same ``score_mean`` that scores a final fit.
+takes the channel argmax (a single class is predicted everywhere).  Both
+posteriors start from ``train_block``'s nugget-free system, (K_bb, y_b) or
+(Q_b^T Q_b, Q_b^T y_b).  ``nugget_search`` forms it once, fits each
+candidate eps on it, scores the fit on the validation split by Micro-F1
+(classification) or R^2 (regression) with ``score_mean``, and returns the
+winning fit itself, ready to predict.
 """
 
 from __future__ import annotations
@@ -79,36 +82,41 @@ def one_hot_targets(labels: np.ndarray, classes: Optional[np.ndarray] = None):
 # fitted solvers
 
 
-def train_block(kernel_or_factor, train_idx: np.ndarray) -> np.ndarray:
-    """Nugget-free training block: K_bb of a dense kernel, Q_b^T Q_b of a factor."""
+def train_block(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray):
+    """Nugget-free training system ``(train_idx, G, B)``, checked once.
+
+    For a dense kernel G = K_bb and B = Y; for a factor G = Q_b^T Q_b and
+    B = Q_b^T Y.  Y is the targets as a matrix, one row per training node.
+    """
     train_idx = np.asarray(train_idx, dtype=np.int64)
+    if train_idx.size == 0:
+        raise ValueError("training set is empty")
+    y = _as_target_matrix(y_train)
+    if y.shape[0] != train_idx.size:
+        raise ValueError(
+            f"{y.shape[0]} training targets for {train_idx.size} training nodes"
+        )
     if isinstance(kernel_or_factor, LowRankFactor):
         qb = kernel_or_factor.q[train_idx]
-        return qb.T @ qb
-    return np.asarray(kernel_or_factor, dtype=np.float64)[np.ix_(train_idx, train_idx)]
+        return train_idx, qb.T @ qb, qb.T @ y
+    kernel = np.asarray(kernel_or_factor, dtype=np.float64)
+    return train_idx, kernel[np.ix_(train_idx, train_idx)], y
 
 
 class ExactPosterior:
     """Factorized training block of a dense kernel, ready to predict.
 
-    ``block``, when given, is ``train_block(kernel, train_idx)`` formed
-    beforehand; it is copied, never changed.
+    ``block``, when given, is ``train_block(kernel, train_idx, y_train)``
+    formed beforehand; it is copied, never changed.
     """
 
     def __init__(self, kernel: np.ndarray, train_idx: np.ndarray,
-                 y_train: np.ndarray, nugget: float, block: Optional[np.ndarray] = None):
+                 y_train: np.ndarray, nugget: float, block: Optional[tuple] = None):
         if nugget < 0:
             raise ValueError("nugget must be nonnegative")
         kernel = np.asarray(kernel, dtype=np.float64)
-        train_idx = np.asarray(train_idx, dtype=np.int64)
-        if train_idx.size == 0:
-            raise ValueError("training set is empty")
-        y = _as_target_matrix(y_train)
-        if y.shape[0] != train_idx.size:
-            raise ValueError(
-                f"{y.shape[0]} training targets for {train_idx.size} training nodes"
-            )
-        kbb = train_block(kernel, train_idx) if block is None else block.copy()
+        train_idx, kbb, y = train_block(kernel, train_idx, y_train) if block is None else block
+        kbb = kbb.copy()
         kbb[np.diag_indices_from(kbb)] += nugget
         try:
             factor = scipy.linalg.cho_factor(kbb)
@@ -136,29 +144,21 @@ class ExactPosterior:
 class LowRankPosterior:
     """Factorized r x r training Gram of a low-rank kernel factor.
 
-    ``block``, when given, is ``train_block(factor, train_idx)`` formed
-    beforehand; it is copied, never changed.
+    ``block``, when given, is ``train_block(factor, train_idx, y_train)``
+    formed beforehand; it is copied, never changed.
     """
 
     def __init__(self, factor: LowRankFactor, train_idx: np.ndarray,
-                 y_train: np.ndarray, nugget: float, block: Optional[np.ndarray] = None):
+                 y_train: np.ndarray, nugget: float, block: Optional[tuple] = None):
         if nugget <= 0:
             raise ValueError("low-rank posterior needs a positive nugget")
-        train_idx = np.asarray(train_idx, dtype=np.int64)
-        if train_idx.size == 0:
-            raise ValueError("training set is empty")
-        y = _as_target_matrix(y_train)
-        if y.shape[0] != train_idx.size:
-            raise ValueError(
-                f"{y.shape[0]} training targets for {train_idx.size} training nodes"
-            )
-        qb = factor.q[train_idx]
-        gram = qb.T @ qb if block is None else block.copy()
+        _, gram, qty = train_block(factor, train_idx, y_train) if block is None else block
+        gram = gram.copy()
         gram[np.diag_indices_from(gram)] += nugget
         self.factor = factor
         self.nugget = float(nugget)
         self._cho = scipy.linalg.cho_factor(gram)
-        self._coef = scipy.linalg.cho_solve(self._cho, qb.T @ y)
+        self._coef = scipy.linalg.cho_solve(self._cho, qty)
 
     def mean(self, idx: np.ndarray) -> np.ndarray:
         idx = np.asarray(idx, dtype=np.int64)
@@ -171,6 +171,14 @@ class LowRankPosterior:
         solved = scipy.linalg.cho_solve(self._cho, qs.T)
         var = self.nugget * np.einsum("ij,ji->i", qs, solved)
         return np.maximum(var, 0.0)
+
+
+def fit_posterior(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray,
+                  nugget: float, block: Optional[tuple] = None):
+    """ExactPosterior of a dense kernel or LowRankPosterior of a factor."""
+    lowrank = isinstance(kernel_or_factor, LowRankFactor)
+    posterior = LowRankPosterior if lowrank else ExactPosterior
+    return posterior(kernel_or_factor, train_idx, y_train, nugget, block=block)
 
 
 def classify_onehot(mean: np.ndarray) -> np.ndarray:
@@ -245,8 +253,9 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
     ``targets`` covers all nodes; the search fits on the train split and
     scores on the validation split with Micro-F1 or R^2.  A constant
     regression validation target makes R^2 undefined, in which case the
-    smallest candidate is returned under a warning.  Returns the winning
-    nugget together with the (nugget, validation score) trace.
+    fit at the smallest candidate is returned under a warning.  Returns the
+    winning fit (its nugget is ``fit.nugget``) together with the
+    (nugget, validation score) trace.
     """
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
@@ -258,24 +267,26 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
     grid = np.sort(grid)
     targets = np.asarray(targets)
     truth_val = targets[split.val]
+    y_train, classes = training_targets(targets, split.train, task)
+    block = train_block(kernel_or_factor, split.train, y_train)
+
+    def fit_at(eps):
+        return fit_posterior(kernel_or_factor, split.train, y_train, float(eps), block=block)
+
     if task == "regression" and np.all(truth_val == truth_val[0]):
         warnings.warn(
             "validation target is constant, R^2 is undefined; "
             "falling back to the smallest nugget",
             RuntimeWarning,
         )
-        return float(grid[0]), [(float(grid[0]), float("nan"))]
-    y_train, classes = training_targets(targets, split.train, task)
-    lowrank = isinstance(kernel_or_factor, LowRankFactor)
-    posterior = LowRankPosterior if lowrank else ExactPosterior
-    block = train_block(kernel_or_factor, split.train)
+        return fit_at(grid[0]), [(float(grid[0]), float("nan"))]
 
-    best_eps, best_score = None, -np.inf
+    best, best_score = None, -np.inf
     trace: List[tuple] = []
     for eps in grid:
-        fit = posterior(kernel_or_factor, split.train, y_train, float(eps), block=block)
+        fit = fit_at(eps)
         _, score = score_mean(fit.mean(split.val), truth_val, classes)
         trace.append((float(eps), float(score)))
         if score > best_score:  # strict: equal scores keep the smaller eps
-            best_eps, best_score = float(eps), score
-    return best_eps, trace
+            best, best_score = fit, score
+    return best, trace

@@ -199,7 +199,9 @@ def base_inner(x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] == 0:
         raise ValueError("features must be a nonempty 2-d array")
     y = x if y is None else np.asarray(y, dtype=np.float64)
-    return x @ y.T / x.shape[1]
+    out = x @ y.T
+    out /= x.shape[1]
+    return out
 
 
 def base_rbf(x: np.ndarray, y: Optional[np.ndarray] = None, gamma: float = 1.0) -> np.ndarray:

@@ -8,7 +8,6 @@ quantities (timings, of course, vary).
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -21,18 +20,17 @@ import numpy as np
 from .adjacency import identity_adjacency, normalize_row, normalize_sym
 from .datasets import (
     Dataset,
-    _load_features_bin,
-    _load_features_csv,
     load_dataset,
+    load_features,
     make_splits,
     pca_reduce,
+    save_splits,
     synthetic_dataset,
 )
 from .finite_width import McConfig, compare_covariance, sample_covariance
 from .inference import (
-    ExactPosterior,
-    LowRankPosterior,
     default_nugget_grid,
+    fit_posterior,
     nugget_search,
     score_mean,
     training_targets,
@@ -40,7 +38,6 @@ from .inference import (
 from .kernels import (
     GraphConv,
     LandmarkSet,
-    LowRankFactor,
     apply_block_lowrank,
     base_inner,
     base_poly,
@@ -192,8 +189,6 @@ def _pick_landmarks(cfg: RunConfig, train_idx: np.ndarray, n_nodes: int) -> Land
         count = max(1, int(round(cfg.landmark_frac * n_nodes)))
     if count > n_nodes:
         raise ValueError(f"asked for {count} landmarks but the graph has {n_nodes} nodes")
-    if count == n_nodes:
-        return LandmarkSet(np.arange(n_nodes, dtype=np.int64))
     return LandmarkSet.draw(np.arange(n_nodes, dtype=np.int64), count, cfg.seed)
 
 
@@ -232,18 +227,13 @@ def _build_representation(cfg: RunConfig, arch: str, a, feats, sigma_b: float,
     return lowrank_variant(program, q0, landmarks)
 
 
-def _fit_and_score(rep, ds: Dataset, nugget: float, names: tuple, phases: _Phases):
-    """Fit the posterior on the train split; predict and score the named splits.
+def _predict_and_score(fit, ds: Dataset, names: tuple, phases: _Phases):
+    """Predict the named splits from a fit and score them.
 
-    Returns the fit and, per split name, the predictions and the metric
-    (Micro-F1 or R^2).  A dataset with a single class predicts it everywhere.
+    Returns, per split name, the predictions and the metric (Micro-F1 or
+    R^2).  A dataset with a single class predicts it everywhere.
     """
-    y_train, classes = training_targets(ds.targets, ds.splits.train, ds.task)
-
-    with phases.phase("solve"):
-        posterior = LowRankPosterior if isinstance(rep, LowRankFactor) else ExactPosterior
-        fit = posterior(rep, ds.splits.train, y_train, nugget)
-
+    _, classes = training_targets(ds.targets, ds.splits.train, ds.task)
     with phases.phase("predict"):
         means = {name: fit.mean(getattr(ds.splits, name)) for name in names}
 
@@ -251,7 +241,7 @@ def _fit_and_score(rep, ds: Dataset, nugget: float, names: tuple, phases: _Phase
     for name, mean in means.items():
         truth = ds.targets[getattr(ds.splits, name)]
         predictions[name], metrics[name] = score_mean(mean, truth, classes)
-    return fit, predictions, metrics
+    return predictions, metrics
 
 
 def _report_hyperparameters(report: Report, cfg: RunConfig, sigma_b: float) -> None:
@@ -298,10 +288,12 @@ def run_infer(cfg: RunConfig) -> Report:
         with phases.phase("kernel_build"):
             rep = _build_representation(cfg, cfg.arch, a, feats, sigma_b, landmarks, gamma)
         if grid is None and len(gamma_candidates) == 1:
-            best = (rep, gamma, float(cfg.nugget), None)
+            y_train, _ = training_targets(ds.targets, ds.splits.train, task)
+            with phases.phase("solve"):
+                best = (fit_posterior(rep, ds.splits.train, y_train, cfg.nugget), gamma, None)
             break
         with phases.phase("nugget_search"):
-            eps, trace = nugget_search(
+            fit, trace = nugget_search(
                 rep, ds.splits, ds.targets,
                 grid if grid is not None else np.asarray([cfg.nugget]),
                 task,
@@ -309,13 +301,11 @@ def run_infer(cfg: RunConfig) -> Report:
         for eps_i, score_i in trace:
             search_rows.append((gamma, eps_i, score_i))
         score = max(s for _, s in trace)
-        if best is None or score > best[3]:
-            best = (rep, gamma, eps, score)
-    rep, gamma, nugget, _ = best
+        if best is None or score > best[2]:
+            best = (fit, gamma, score)
+    fit, gamma, _ = best
 
-    fit, predictions, metrics = _fit_and_score(
-        rep, ds, nugget, ("train", "val", "test"), phases
-    )
+    predictions, metrics = _predict_and_score(fit, ds, ("train", "val", "test"), phases)
     with phases.phase("predict"):
         variance = fit.variance(ds.splits.test) if cfg.path == "lowrank" else None
 
@@ -336,7 +326,7 @@ def run_infer(cfg: RunConfig) -> Report:
     report.set("seed", cfg.seed)
     if landmarks is not None:
         report.set("landmarks", landmarks.count)
-    report.set("nugget", float(nugget))
+    report.set("nugget", fit.nugget)
     report.set("nugget_selected_by", "fixed" if cfg.nugget is not None else "search")
     metric_name = "micro_f1" if task == "classification" else "r2"
     report.set("metric", metric_name)
@@ -411,8 +401,8 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     per_depth_metrics = {}
 
     def measure(layer: int, kernel: np.ndarray) -> None:
-        eps, _ = nugget_search(kernel, ds.splits, ds.targets, grid, task)
-        _, _, metrics = _fit_and_score(kernel, ds, eps, ("test",), _Phases())
+        fit, _ = nugget_search(kernel, ds.splits, ds.targets, grid, task)
+        _, metrics = _predict_and_score(fit, ds, ("test",), _Phases())
         per_depth_metrics[layer] = metrics["test"]
 
     trace = depth_scan(program, k0, per_layer=measure)
@@ -528,30 +518,14 @@ def run_make_splits(cfg: RunConfig) -> Report:
     cfg.validate()
     if cfg.dataset is None:
         raise ValueError("make-splits needs --dataset")
-    feat_csv = os.path.join(cfg.dataset, "features.csv")
-    feat_bin = os.path.join(cfg.dataset, "features.bin")
-    if os.path.exists(feat_csv):
-        n = _load_features_csv(feat_csv).shape[0]
-    elif os.path.exists(feat_bin):
-        n = _load_features_bin(feat_bin).shape[0]
-    else:
-        raise FileNotFoundError(f"{cfg.dataset}: missing features.csv or features.bin")
+    n = load_features(cfg.dataset).shape[0]
     target = os.path.join(cfg.dataset, "splits.json")
     if os.path.exists(target):
         raise FileExistsError(
             f"{target} already exists; delete it first to regenerate"
         )
     splits = make_splits(n, cfg.ratios, cfg.seed)
-    with open(target, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "train": splits.train.tolist(),
-                "val": splits.val.tolist(),
-                "test": splits.test.tolist(),
-            },
-            fh,
-        )
-        fh.write("\n")
+    save_splits(splits, target)
 
     report = Report("make-splits")
     report.set("dataset", cfg.dataset)

@@ -4,7 +4,20 @@ import shutil
 import numpy as np
 import pytest
 
-from graphgp import report_schema
+from graphgp import (
+    KernelProgram,
+    LandmarkSet,
+    base_inner,
+    classify_onehot,
+    lowrank_variant,
+    normalize_sym,
+    nugget_search,
+    nystrom_start,
+    report_schema,
+    run_exact,
+    save_dataset,
+    synthetic_dataset,
+)
 from graphgp.cli import main
 from graphgp.runners import RunConfig, run_benchmark
 
@@ -76,6 +89,34 @@ def test_exact_and_all_landmark_lowrank_predict_alike(capsys):
     assert [r[2] for r in a] == [r[2] for r in b]
     # the factored path also reports a predictive variance column
     assert "variance" in lowrank.splitlines()[lowrank.splitlines().index("[predictions]") + 1]
+
+
+@pytest.mark.parametrize("path", ["exact", "lowrank"])
+def test_infer_predicts_as_the_library_pipeline(path, tmp_path, capsys):
+    # infer is nugget_search on the run's kernel, then the winning fit's mean
+    ds = synthetic_dataset(120, n_classes=2, seed=2)
+    save_dataset(ds, str(tmp_path / "ds"))
+    code, out, err = run_cli(capsys, "infer", "--dataset", str(tmp_path / "ds"),
+                             "--path", path)
+    assert (code, err) == (0, "")
+
+    program = KernelProgram.gcn(normalize_sym(ds.graph), 2)
+    if path == "exact":
+        rep = run_exact(program, base_inner(ds.features))
+    else:
+        marks = LandmarkSet(np.sort(ds.splits.train))
+        rep = lowrank_variant(program, nystrom_start(ds.features, marks), marks)
+    fit, _ = nugget_search(rep, ds.splits, ds.targets)
+    classes = np.unique(ds.targets)
+    pred = classes[classify_onehot(fit.mean(ds.splits.test))]
+
+    rows = table_rows(out, "predictions")
+    assert [int(r[0]) for r in rows] == ds.splits.test.tolist()
+    assert [int(r[2]) for r in rows] == pred.tolist()
+    assert f"nugget: {fit.nugget:.12g}" in out.splitlines()
+    if path == "lowrank":
+        var = fit.variance(ds.splits.test)
+        assert [r[3] for r in rows] == [format(v, ".12g") for v in var]
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):

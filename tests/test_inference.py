@@ -132,19 +132,19 @@ def test_shared_training_block_is_copied_not_changed():
     v = np.array([1.0, 1.0, 2.0])
     k = np.outer(v, v)
     train = np.array([0, 1])
-    block = train_block(k, train)
-    before = block.copy()
+    block = train_block(k, train, np.array([1.0, 1.0]))
+    before = [part.copy() for part in block]
     shared = ExactPosterior(k, train, np.array([1.0, 1.0]), nugget=0.0, block=block)
     own = ExactPosterior(k, train, np.array([1.0, 1.0]), nugget=0.0)
-    assert np.array_equal(block, before)
+    assert all(np.array_equal(a, b) for a, b in zip(block, before))
     assert np.array_equal(shared.mean(np.array([2])), own.mean(np.array([2])))
     q = LowRankFactor(np.random.default_rng(0).normal(size=(6, 2)))
     train = np.array([0, 2, 3])
-    block = train_block(q, train)
-    before = block.copy()
+    block = train_block(q, train, np.ones(3))
+    before = [part.copy() for part in block]
     shared = LowRankPosterior(q, train, np.ones(3), 0.5, block=block)
     own = LowRankPosterior(q, train, np.ones(3), 0.5)
-    assert np.array_equal(block, before)
+    assert all(np.array_equal(a, b) for a, b in zip(block, before))
     assert np.array_equal(shared.mean(np.arange(6)), own.mean(np.arange(6)))
 
 
@@ -202,12 +202,13 @@ def test_nugget_search_ties_prefer_smaller():
     q = LowRankFactor(rng.normal(size=(12, 4)))
     split = SplitIndices(np.arange(6), np.array([6, 7, 8]), np.array([9, 10, 11]))
     targets = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1])
-    eps, trace = nugget_search(q, split, targets, grid=np.array([1.0, 0.1, 10.0]))
+    fit, trace = nugget_search(q, split, targets, grid=np.array([1.0, 0.1, 10.0]))
+    eps = fit.nugget
     scores = [s for _, s in trace]
     if len(set(scores)) == 1:
         assert eps == 0.1  # grid is sorted before the scan
     assert trace[0][0] == 0.1
-    assert nugget_search(q, split, targets, grid=np.array([10.0, 1.0, 0.1]))[0] == eps
+    assert nugget_search(q, split, targets, grid=np.array([10.0, 1.0, 0.1]))[0].nugget == eps
 
 
 @pytest.mark.parametrize("lowrank", [False, True])
@@ -217,9 +218,9 @@ def test_nugget_search_single_class_takes_smallest_nugget(lowrank):
     q = rng.normal(size=(10, 4))
     rep = LowRankFactor(q) if lowrank else q @ q.T
     split = SplitIndices(np.arange(5), np.array([5, 6, 7]), np.array([8, 9]))
-    eps, trace = nugget_search(rep, split, np.ones(10, dtype=np.int64))
+    fit, trace = nugget_search(rep, split, np.ones(10, dtype=np.int64))
     grid = default_nugget_grid()
-    assert eps == grid[0]
+    assert fit.nugget == grid[0]
     assert [e for e, _ in trace] == list(grid)
     assert all(s == 1.0 for _, s in trace)
 
@@ -231,8 +232,8 @@ def test_nugget_search_regression_constant_validation_warns():
     split = SplitIndices(np.arange(4), np.array([4, 5]), np.array([6, 7]))
     targets = np.array([0.3, -0.1, 0.5, 0.2, 1.0, 1.0, 0.0, 0.4])
     with pytest.warns(RuntimeWarning, match="constant"):
-        eps, trace = nugget_search(k, split, targets, task="regression")
-    assert eps == default_nugget_grid()[0]
+        fit, trace = nugget_search(k, split, targets, task="regression")
+    assert fit.nugget == default_nugget_grid()[0]
     assert np.isnan(trace[0][1])
 
 
@@ -256,7 +257,53 @@ def test_nugget_search_picks_regression_optimum():
     k = np.exp(-0.5 * ((x[:, None, :] - x[None, :, :]) ** 2).sum(-1))
     f = np.sin(x[:, 0]) + 0.1 * rng.normal(size=40)
     split = SplitIndices(np.arange(20), np.arange(20, 30), np.arange(30, 40))
-    eps, trace = nugget_search(k, split, f, task="regression")
+    fit, trace = nugget_search(k, split, f, task="regression")
     best = max(s for _, s in trace)
-    chosen = [s for e, s in trace if e == eps][0]
+    chosen = [s for e, s in trace if e == fit.nugget][0]
     assert chosen == best
+
+
+def test_train_block_checks_the_training_system():
+    with pytest.raises(ValueError, match="training set is empty"):
+        train_block(np.eye(3), np.array([], dtype=np.int64), np.zeros(0))
+    q = LowRankFactor(np.ones((4, 2)))
+    with pytest.raises(ValueError, match="1 training targets for 2"):
+        train_block(q, np.array([0, 1]), np.zeros(1))
+    idx, gram, qty = train_block(q, np.array([0, 3]), np.array([1.0, 2.0]))
+    assert np.array_equal(idx, [0, 3])
+    assert np.array_equal(gram, 2.0 * np.ones((2, 2)))
+    assert np.array_equal(qty, [[3.0], [3.0]])
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+@pytest.mark.parametrize("task", ["classification", "regression", "constant"])
+def test_nugget_search_returns_the_winning_fit(task, lowrank):
+    # the returned fit predicts exactly as a fresh fit at its nugget would
+    rng = np.random.default_rng(8)
+    q = rng.normal(size=(30, 5))
+    rep = LowRankFactor(q) if lowrank else q @ q.T
+    split = SplitIndices(np.arange(14), np.arange(14, 22), np.arange(22, 30))
+    if task == "classification":
+        targets = (q[:, 0] > 0).astype(np.int64)
+        y, _ = one_hot_targets(targets[split.train], np.unique(targets))
+    else:
+        targets = q[:, 1] + 0.1 * rng.normal(size=30)
+        if task == "constant":
+            targets[split.val] = 0.5
+        y = targets[split.train]
+    search = "regression" if task == "constant" else task
+    if task == "constant":
+        with pytest.warns(RuntimeWarning, match="constant"):
+            fit, trace = nugget_search(rep, split, targets, task=search)
+        assert [e for e, _ in trace] == [default_nugget_grid()[0]]
+        assert np.isnan(trace[0][1])
+    else:
+        fit, trace = nugget_search(rep, split, targets, task=search)
+    assert fit.nugget in [e for e, _ in trace]
+    posterior = LowRankPosterior if lowrank else ExactPosterior
+    assert type(fit) is posterior
+    fresh = posterior(rep, split.train, y, fit.nugget)
+    everyone = np.arange(30)
+    assert np.array_equal(fit.mean(everyone), fresh.mean(everyone))
+    if lowrank:
+        assert np.array_equal(fit.variance(everyone), fresh.variance(everyone))
