@@ -144,14 +144,7 @@ def load_features(directory: str) -> np.ndarray:
 def save_splits(splits: SplitIndices, path: str) -> None:
     """Write splits as the splits.json that load_dataset reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "train": splits.train.tolist(),
-                "val": splits.val.tolist(),
-                "test": splits.test.tolist(),
-            },
-            fh,
-        )
+        json.dump({k: getattr(splits, k).tolist() for k in ("train", "val", "test")}, fh)
         fh.write("\n")
 
 

@@ -83,7 +83,7 @@ def one_hot_targets(labels: np.ndarray, classes: Optional[np.ndarray] = None):
 
 
 def train_block(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray):
-    """Nugget-free training system ``(train_idx, G, B)``, checked once.
+    """Nugget-free training system ``(G, B)``, checked once.
 
     For a dense kernel G = K_bb and B = Y; for a factor G = Q_b^T Q_b and
     B = Q_b^T Y.  Y is the targets as a matrix, one row per training node.
@@ -98,24 +98,37 @@ def train_block(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray):
         )
     if isinstance(kernel_or_factor, LowRankFactor):
         qb = kernel_or_factor.q[train_idx]
-        return train_idx, qb.T @ qb, qb.T @ y
+        return qb.T @ qb, qb.T @ y
     kernel = np.asarray(kernel_or_factor, dtype=np.float64)
-    return train_idx, kernel[np.ix_(train_idx, train_idx)], y
+    return kernel[np.ix_(train_idx, train_idx)], y
+
+
+def _given_or_own(kernel_or_factor, train_idx, y_train, block, size: int):
+    """``block``, checked to be size x size, in place of ``y_train``; or train_block's."""
+    if block is None:
+        return train_block(kernel_or_factor, train_idx, y_train)
+    if y_train is not None:
+        raise ValueError("give the training targets or a training block, not both")
+    gram, rhs = block
+    if gram.shape != (size, size) or rhs.shape[0] != size:
+        raise ValueError(f"training block must be {size} x {size} with {size} rows")
+    return gram, rhs
 
 
 class ExactPosterior:
     """Factorized training block of a dense kernel, ready to predict.
 
-    ``block``, when given, is ``train_block(kernel, train_idx, y_train)``
-    formed beforehand; it is copied, never changed.
+    ``block``, ``train_block(kernel, train_idx, y_train)`` formed beforehand,
+    replaces ``y_train``; it is copied, never changed.
     """
 
     def __init__(self, kernel: np.ndarray, train_idx: np.ndarray,
-                 y_train: np.ndarray, nugget: float, block: Optional[tuple] = None):
+                 y_train: Optional[np.ndarray], nugget: float, block=None):
         if nugget < 0:
             raise ValueError("nugget must be nonnegative")
         kernel = np.asarray(kernel, dtype=np.float64)
-        train_idx, kbb, y = train_block(kernel, train_idx, y_train) if block is None else block
+        train_idx = np.asarray(train_idx, dtype=np.int64)
+        kbb, y = _given_or_own(kernel, train_idx, y_train, block, train_idx.size)
         kbb = kbb.copy()
         kbb[np.diag_indices_from(kbb)] += nugget
         try:
@@ -144,15 +157,15 @@ class ExactPosterior:
 class LowRankPosterior:
     """Factorized r x r training Gram of a low-rank kernel factor.
 
-    ``block``, when given, is ``train_block(factor, train_idx, y_train)``
-    formed beforehand; it is copied, never changed.
+    ``block``, ``train_block(factor, train_idx, y_train)`` formed beforehand,
+    replaces ``y_train``; it is copied, never changed.
     """
 
     def __init__(self, factor: LowRankFactor, train_idx: np.ndarray,
-                 y_train: np.ndarray, nugget: float, block: Optional[tuple] = None):
+                 y_train: Optional[np.ndarray], nugget: float, block=None):
         if nugget <= 0:
             raise ValueError("low-rank posterior needs a positive nugget")
-        _, gram, qty = train_block(factor, train_idx, y_train) if block is None else block
+        gram, qty = _given_or_own(factor, train_idx, y_train, block, factor.rank)
         gram = gram.copy()
         gram[np.diag_indices_from(gram)] += nugget
         self.factor = factor
@@ -173,8 +186,8 @@ class LowRankPosterior:
         return np.maximum(var, 0.0)
 
 
-def fit_posterior(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray,
-                  nugget: float, block: Optional[tuple] = None):
+def fit_posterior(kernel_or_factor, train_idx: np.ndarray,
+                  y_train: Optional[np.ndarray], nugget: float, block=None):
     """ExactPosterior of a dense kernel or LowRankPosterior of a factor."""
     lowrank = isinstance(kernel_or_factor, LowRankFactor)
     posterior = LowRankPosterior if lowrank else ExactPosterior
@@ -271,7 +284,7 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
     block = train_block(kernel_or_factor, split.train, y_train)
 
     def fit_at(eps):
-        return fit_posterior(kernel_or_factor, split.train, y_train, float(eps), block=block)
+        return fit_posterior(kernel_or_factor, split.train, None, float(eps), block=block)
 
     if task == "regression" and np.all(truth_val == truth_val[0]):
         warnings.warn(

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from graphgp import (
+    ExactPosterior,
     KernelProgram,
     LandmarkSet,
+    LowRankPosterior,
     base_inner,
     classify_onehot,
     lowrank_variant,
@@ -18,6 +20,7 @@ from graphgp import (
     save_dataset,
     synthetic_dataset,
 )
+from graphgp import runners
 from graphgp.cli import main
 from graphgp.runners import RunConfig, run_benchmark
 
@@ -117,6 +120,33 @@ def test_infer_predicts_as_the_library_pipeline(path, tmp_path, capsys):
     if path == "lowrank":
         var = fit.variance(ds.splits.test)
         assert [r[3] for r in rows] == [format(v, ".12g") for v in var]
+
+
+@pytest.mark.parametrize("path", ["exact", "lowrank"])
+def test_infer_fits_once_per_grid_point_and_never_refits(path, capsys, monkeypatch):
+    # a searched infer constructs one posterior per grid point, all inside
+    # nugget_search, and predicts from the winner; --nugget constructs one
+    inside, made = [], []
+    for cls in (ExactPosterior, LowRankPosterior):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            made.append(bool(inside))
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+
+    def search(*args, _search=runners.nugget_search, **kwargs):
+        inside.append(True)
+        try:
+            return _search(*args, **kwargs)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(runners, "nugget_search", search)
+    args = ("infer", "--dataset", FIXTURE_DIR, "--path", path, "--landmarks", "4")
+    args = args if path == "lowrank" else args[:-2]
+    assert run_cli(capsys, *args)[0] == 0
+    assert made == [True] * 13
+    made.clear()
+    assert run_cli(capsys, *args, "--nugget", "0.5")[0] == 0
+    assert made == [False]
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):

@@ -134,7 +134,7 @@ def test_shared_training_block_is_copied_not_changed():
     train = np.array([0, 1])
     block = train_block(k, train, np.array([1.0, 1.0]))
     before = [part.copy() for part in block]
-    shared = ExactPosterior(k, train, np.array([1.0, 1.0]), nugget=0.0, block=block)
+    shared = ExactPosterior(k, train, None, nugget=0.0, block=block)
     own = ExactPosterior(k, train, np.array([1.0, 1.0]), nugget=0.0)
     assert all(np.array_equal(a, b) for a, b in zip(block, before))
     assert np.array_equal(shared.mean(np.array([2])), own.mean(np.array([2])))
@@ -142,7 +142,7 @@ def test_shared_training_block_is_copied_not_changed():
     train = np.array([0, 2, 3])
     block = train_block(q, train, np.ones(3))
     before = [part.copy() for part in block]
-    shared = LowRankPosterior(q, train, np.ones(3), 0.5, block=block)
+    shared = LowRankPosterior(q, train, None, 0.5, block=block)
     own = LowRankPosterior(q, train, np.ones(3), 0.5)
     assert all(np.array_equal(a, b) for a, b in zip(block, before))
     assert np.array_equal(shared.mean(np.arange(6)), own.mean(np.arange(6)))
@@ -269,10 +269,25 @@ def test_train_block_checks_the_training_system():
     q = LowRankFactor(np.ones((4, 2)))
     with pytest.raises(ValueError, match="1 training targets for 2"):
         train_block(q, np.array([0, 1]), np.zeros(1))
-    idx, gram, qty = train_block(q, np.array([0, 3]), np.array([1.0, 2.0]))
-    assert np.array_equal(idx, [0, 3])
+    gram, qty = train_block(q, np.array([0, 3]), np.array([1.0, 2.0]))
     assert np.array_equal(gram, 2.0 * np.ones((2, 2)))
     assert np.array_equal(qty, [[3.0], [3.0]])
+
+
+def test_given_training_block_is_the_only_source_of_targets():
+    k = 2.0 * np.eye(4)
+    train = np.array([0, 2])
+    block = train_block(k, train, np.array([1.0, 3.0]))
+    with pytest.raises(ValueError, match="not both"):
+        ExactPosterior(k, train, np.array([1.0, 3.0]), 0.5, block=block)
+    with pytest.raises(ValueError, match="must be 3 x 3"):
+        ExactPosterior(k, np.array([0, 1, 2]), None, 0.5, block=block)
+    q = LowRankFactor(np.ones((4, 2)))
+    gram, qty = train_block(q, train, np.array([1.0, 3.0]))
+    with pytest.raises(ValueError, match="not both"):
+        LowRankPosterior(q, train, np.array([1.0, 3.0]), 0.5, block=(gram, qty))
+    with pytest.raises(ValueError, match="must be 2 x 2"):
+        LowRankPosterior(q, train, None, 0.5, block=(gram[:1, :1], qty[:1]))
 
 
 @pytest.mark.parametrize("lowrank", [False, True])
