@@ -64,11 +64,6 @@ class SplitIndices:
             )
 
 
-def _as_target_matrix(y: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    return y[:, None] if y.ndim == 1 else y
-
-
 def one_hot_targets(labels: np.ndarray, classes: Optional[np.ndarray] = None):
     """0/1 indicator matrix (not centered) and the class values, sorted."""
     labels = np.asarray(labels)
@@ -91,7 +86,8 @@ def train_block(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray):
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
         raise ValueError("training set is empty")
-    y = _as_target_matrix(y_train)
+    y = np.asarray(y_train, dtype=np.float64)
+    y = y[:, None] if y.ndim == 1 else y
     if y.shape[0] != train_idx.size:
         raise ValueError(
             f"{y.shape[0]} training targets for {train_idx.size} training nodes"

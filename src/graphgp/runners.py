@@ -126,7 +126,9 @@ class _Phases:
         try:
             yield
         finally:
-            self.seconds[name] = self.seconds.get(name, 0.0) + (time.perf_counter() - start)
+            self.seconds[name] = self.seconds.get(name, 0.0) + (
+                time.perf_counter() - start
+            )
 
 
 def _default_sigma_b(cfg: RunConfig, task: str) -> float:
@@ -349,7 +351,8 @@ def run_infer(cfg: RunConfig) -> Report:
     if variance is not None:
         header.append("variance")
     t = report.table("predictions", header)
-    for i, node in enumerate(ds.splits.test):
+    test_idx = ds.splits.test
+    for i, node in enumerate(test_idx):
         row = [int(node), ds.targets[node], predictions["test"][i]]
         if variance is not None:
             row.append(float(variance[i]))
