@@ -125,7 +125,8 @@ def _forward(cfg: McConfig, a_csr, x0: np.ndarray, rngs) -> np.ndarray:
         rng = rngs[l]
         inner = _relu(h) if l > 0 else h
         if prog.architecture in ("gcn", "mlp"):
-            h = _linear_draw([(a_csr @ inner, prog.sigma_w)], prog.sigma_b, d, rng)
+            m = inner if prog.architecture == "mlp" else a_csr @ inner
+            h = _linear_draw([(m, prog.sigma_w)], prog.sigma_b, d, rng)
         elif prog.architecture == "gin":
             mid = _linear_draw([(a_csr @ inner, prog.sigma_w)], prog.sigma_b, d, rng)
             h = _linear_draw([(_relu(mid), prog.sigma_w)], prog.sigma_b, d, rng)

@@ -423,7 +423,7 @@ def apply_block_lowrank(
         if idx[-1] >= factor.n:
             raise ValueError("landmark index out of range for this factor")
         q = factor.q
-        d = np.einsum("ij,ij->i", q, q)
+        d = factor.gram_diag()
         k_cols = q @ q[idx].T
         var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
         c_cols = _relu_gauss(k_cols, d, d[idx], var_floor, out=k_cols)

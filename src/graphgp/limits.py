@@ -17,8 +17,9 @@ The graph-free recursion (A = I) has its own fixed-point story and lives in
 flatten to q * ones with q = sigma_b^2 / (1 - sigma_w^2 / 2); supercritical
 ones grow like (sigma_w^2 / 2)^l with a rank-one profile v_x^2 =
 sigma_b^2 / (sigma_w^2 / 2 - 1) + K0(x, x).  Both treat K0 as a
-pre-activation covariance, so the halved diagonal recursion applies from
-the first step.
+pre-activation covariance and observe ``run_exact`` of the mlp program
+started from g(K0); ``mlp_fixed_point`` keeps no kernel, so its memory
+does not grow with depth.
 """
 
 from __future__ import annotations
@@ -155,15 +156,13 @@ def mlp_recursion(k0: np.ndarray, sigma_b: float, sigma_w: float, depth: int) ->
     """Iterate K <- sigma_b^2 + sigma_w^2 g(K) from a pre-activation K0.
 
     Plain fixed-point iteration with no regime classification; runs at any
-    sigma_w, including the threshold.
+    sigma_w, including the threshold.  Collects each layer of the mlp
+    program's ``run_exact`` through its ``on_layer`` hook.
     """
-    if depth < 1:
-        raise ValueError("depth must be positive")
-    k = np.asarray(k0, dtype=np.float64)
-    out = []
-    for _ in range(depth):
-        k = sigma_b**2 + sigma_w**2 * relu_expectation(k)
-        out.append(k)
+    k0 = np.asarray(k0, dtype=np.float64)
+    program = KernelProgram.mlp(k0.shape[0], depth, sigma_b=sigma_b, sigma_w=sigma_w)
+    out: List[np.ndarray] = []
+    run_exact(program, relu_expectation(k0), on_layer=lambda _, k: out.append(k))
     return out
 
 
@@ -192,32 +191,36 @@ def mlp_fixed_point(sigma_b: float, sigma_w: float, k0: np.ndarray,
                     depth: int) -> MlpLimitResult:
     """Classify the graph-free limit and measure convergence toward it.
 
-    sigma_w^2 == 2 sits exactly on the threshold, where neither limit
-    statement applies; that regime is rejected.
+    Each layer's gap, trace and rho_min come from an ``on_layer`` observer
+    of the mlp program's ``run_exact`` that keeps no kernel, so memory does
+    not grow with depth.  sigma_w^2 == 2 sits exactly on the threshold,
+    where neither limit statement applies; that regime is rejected.
     """
-    if sigma_b < 0 or sigma_w < 0:
-        raise ValueError("sigma parameters must be nonnegative")
+    k0 = np.asarray(k0, dtype=np.float64)
+    program = KernelProgram.mlp(k0.shape[0], depth, sigma_b=sigma_b, sigma_w=sigma_w)
     # sqrt(2)**2 misses 2.0 by one ulp, so an exact test would never fire;
     # treat the whole rounding neighborhood as the threshold
     if abs(sigma_w**2 - 2.0) <= 1e-12:
         raise ValueError(
             "sigma_w^2 = 2 is the critical point; no limit statement covers it"
         )
-    k0 = np.asarray(k0, dtype=np.float64)
-    kernels = mlp_recursion(k0, sigma_b, sigma_w, depth)
-    layers = np.arange(1, depth + 1)
-    tr = np.array([np.trace(k) for k in kernels])
-    rho = np.array([_min_correlation(k) for k in kernels])
+    # both limits read K / scale^l -> limit; dividing by 1.0 is exact
     delta = sigma_w**2 / 2.0
-
+    q, v = float("nan"), None
     if delta < 1.0:
         q = sigma_b**2 / (1.0 - delta)
-        gaps = np.array([np.abs(k - q).max() for k in kernels])
-        return MlpLimitResult("subcritical", layers, gaps, tr, rho, flat_level=q)
+        scale, limit = 1.0, q
+    else:
+        v = np.sqrt(sigma_b**2 / (delta - 1.0) + np.maximum(k0.diagonal(), 0.0))
+        scale, limit = delta, np.outer(v, v)
+    layers = np.arange(1, depth + 1)
+    gaps, tr, rho = np.empty(depth), np.empty(depth), np.empty(depth)
 
-    v = np.sqrt(sigma_b**2 / (delta - 1.0) + np.maximum(k0.diagonal(), 0.0))
-    vvt = np.outer(v, v)
-    gaps = np.array(
-        [np.abs(k / delta ** (i + 1) - vvt).max() for i, k in enumerate(kernels)]
-    )
-    return MlpLimitResult("supercritical", layers, gaps, tr, rho, profile=v)
+    def observe(layer: int, k: np.ndarray) -> None:
+        gaps[layer - 1] = np.abs(k / scale**layer - limit).max()
+        tr[layer - 1] = np.trace(k)
+        rho[layer - 1] = _min_correlation(k)
+
+    run_exact(program, relu_expectation(k0), on_layer=observe)
+    regime = "subcritical" if delta < 1.0 else "supercritical"
+    return MlpLimitResult(regime, layers, gaps, tr, rho, flat_level=q, profile=v)

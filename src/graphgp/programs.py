@@ -10,12 +10,11 @@ operator, g the ReLU expectation):
   gcnii  K <- ((1-a)^2 A g(K) A^T + a^2 K0) * ((1-b_l)^2 + b_l^2 sigma_w^2)
   gin    K <- sigma_w^2 g(B) + sigma_b^2,  B = sigma_w^2 A g(K) A^T + sigma_b^2
   sage   K <- sigma_w1^2 g(K) + sigma_w2^2 A g(K) A^T   (row-normalized A)
-  mlp    gcn with A = I
+  mlp    K <- sigma_w^2 g(K) + sigma_b^2   (gcn without the operator)
 
 The first layer consumes the base covariance K0 directly (no activation in
 front of the first linear map); inner activations, like the second stage of
-a gin layer, always apply.  ggp is a single deterministic smoothing of a
-polynomial base and has no depth.
+a gin layer, always apply.
 
 Each layer is one block recipe (``_layer``), written against an
 ``apply(rep, block)`` callable: ``run_exact`` reads it with
@@ -45,7 +44,6 @@ from .kernels import (
     apply_block_exact,
     apply_block_lowrank,
     base_inner,
-    base_poly,
     chol_factor,
 )
 
@@ -135,7 +133,9 @@ def _layer(prog: KernelProgram, layer: int, c, skip, apply: Callable):
     ``c`` is the layer's input after its activation, which ``_drive`` applies.
     """
     conv = GraphConv(prog.a)
-    if prog.architecture in ("gcn", "mlp"):
+    if prog.architecture == "mlp":
+        return _chain(apply, c, Weight(prog.sigma_w), Bias(prog.sigma_b))
+    if prog.architecture == "gcn":
         return _chain(apply, c, conv, Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "gin":
         # the inner Activation is a true pre-activation, so it always applies
@@ -185,12 +185,6 @@ def run_exact(program: KernelProgram, k0: np.ndarray,
             f"base kernel shape {k0.shape} does not match operator size {program.a.n_nodes}"
         )
     return _drive(program, k0, apply_block_exact, on_layer)
-
-
-def ggp_kernel(a_row, features, c: float = 5.0, d: float = 3.0) -> np.ndarray:
-    """One deterministic smoothing of a polynomial base: A (x.x' + c)^d A^T."""
-    k0 = base_poly(features, c=c, d=d)
-    return apply_block_exact(k0, GraphConv(a_row))
 
 
 def nystrom_start(features, landmarks: LandmarkSet,

@@ -38,6 +38,7 @@ from .inference import (
 from .kernels import (
     GraphConv,
     LandmarkSet,
+    apply_block_exact,
     apply_block_lowrank,
     base_inner,
     base_poly,
@@ -48,7 +49,6 @@ from .programs import (
     ARCHITECTURES,
     KernelProgram,
     gcnii_beta_schedule,
-    ggp_kernel,
     lowrank_variant,
     nystrom_start,
     run_exact,
@@ -152,12 +152,18 @@ def _search_grid(cfg: RunConfig) -> np.ndarray:
     return default_nugget_grid(lo, hi, int(count))
 
 
-def _base_callable(cfg: RunConfig):
-    if cfg.base == "inner":
+def _base_kind(cfg: RunConfig) -> str:
+    """The base covariance a run starts from: rbf and ggp fix their own."""
+    return {"rbf": "rbf", "ggp": "poly"}.get(cfg.arch, cfg.base)
+
+
+def _base_callable(cfg: RunConfig, gamma: Optional[float]):
+    kind = _base_kind(cfg)
+    if kind == "inner":
         return base_inner
-    if cfg.base == "rbf":
-        return partial(base_rbf, gamma=cfg.gamma if cfg.gamma is not None else 1.0)
-    if cfg.base == "poly":
+    if kind == "rbf":
+        return partial(base_rbf, gamma=gamma if gamma is not None else 1.0)
+    if kind == "poly":
         return partial(base_poly, c=cfg.poly_c, d=cfg.poly_d)
     raise ValueError(f"unknown base kernel {cfg.base!r}")
 
@@ -206,25 +212,24 @@ def _preprocess(cfg: RunConfig, ds: Dataset, landmark_count: Optional[int]) -> n
     return feats
 
 
-def _build_representation(cfg: RunConfig, arch: str, a, feats, sigma_b: float,
+def _build_representation(cfg: RunConfig, a, feats, sigma_b: float,
                           landmarks: Optional[LandmarkSet], gamma: Optional[float]):
-    """The run's kernel: dense array (exact) or LowRankFactor (lowrank)."""
-    if arch == "rbf":
-        g = gamma if gamma is not None else 1.0
-        if cfg.path == "exact":
-            return base_rbf(feats, gamma=g)
-        return nystrom_start(feats, landmarks, partial(base_rbf, gamma=g))
-    if arch == "ggp":
-        if cfg.path == "exact":
-            return ggp_kernel(a, feats, c=cfg.poly_c, d=cfg.poly_d)
-        q0 = nystrom_start(feats, landmarks, partial(base_poly, c=cfg.poly_c, d=cfg.poly_d))
-        return apply_block_lowrank(q0, GraphConv(a))
-    base_fn = _base_callable(cfg)
-    program = _program_for(cfg, arch, a, sigma_b)
+    """The run's kernel: dense array (exact) or LowRankFactor (lowrank).
+
+    Both start from the base covariance: rbf returns it, ggp applies one
+    GraphConv, and the layered architectures run their program on it."""
+    base_fn = _base_callable(cfg, gamma)
     if cfg.path == "exact":
-        return run_exact(program, base_fn(feats))
-    q0 = nystrom_start(feats, landmarks, base_fn)
-    return lowrank_variant(program, q0, landmarks)
+        rep, apply, run = base_fn(feats), apply_block_exact, run_exact
+    else:
+        rep = nystrom_start(feats, landmarks, base_fn)
+        apply = partial(apply_block_lowrank, landmarks=landmarks)
+        run = partial(lowrank_variant, landmarks=landmarks)
+    if cfg.arch == "rbf":
+        return rep
+    if cfg.arch == "ggp":
+        return apply(rep, GraphConv(a))
+    return run(_program_for(cfg, cfg.arch, a, sigma_b), rep)
 
 
 def _predict_and_score(fit, ds: Dataset, names: tuple, phases: _Phases):
@@ -286,7 +291,7 @@ def run_infer(cfg: RunConfig) -> Report:
     search_rows = []
     for gamma in gamma_candidates:
         with phases.phase("kernel_build"):
-            rep = _build_representation(cfg, cfg.arch, a, feats, sigma_b, landmarks, gamma)
+            rep = _build_representation(cfg, a, feats, sigma_b, landmarks, gamma)
         if grid is None and len(gamma_candidates) == 1:
             y_train, _ = training_targets(ds.targets, ds.splits.train, task)
             with phases.phase("solve"):
@@ -320,7 +325,7 @@ def run_infer(cfg: RunConfig) -> Report:
     _report_hyperparameters(report, cfg, sigma_b)
     if cfg.arch == "rbf":
         report.set("gamma", float(gamma if gamma is not None else 1.0))
-    report.set("base", "rbf" if cfg.arch == "rbf" else ("poly" if cfg.arch == "ggp" else cfg.base))
+    report.set("base", _base_kind(cfg))
     report.set("pca", cfg.pca if cfg.pca is not None else "none")
     report.set("center", cfg.center)
     report.set("seed", cfg.seed)
@@ -369,8 +374,9 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     task = ds.task
     sigma_b = _default_sigma_b(cfg, task)
     feats = _preprocess(cfg, ds, None)
-    base_fn = _base_callable(cfg)
-    k0 = base_fn(feats)
+    if cfg.arch in ("ggp", "rbf"):
+        raise ValueError(f"depth-scan needs a layered architecture, not {cfg.arch!r}")
+    k0 = _base_callable(cfg, cfg.gamma)(feats)
     grid = np.asarray([cfg.nugget]) if cfg.nugget is not None else _search_grid(cfg)
 
     report = Report("depth-scan")
@@ -391,9 +397,6 @@ def run_depth_scan(cfg: RunConfig) -> Report:
             t.add(int(result.layers[i]), float(result.gaps[i]),
                   float(result.trace[i]), float(result.rho_min[i]))
         return report
-
-    if cfg.arch in ("ggp", "rbf"):
-        raise ValueError(f"depth-scan needs a layered architecture, not {cfg.arch!r}")
 
     a = _operator_for(cfg.arch, ds)
     program = _program_for(cfg, cfg.arch, a, sigma_b)

@@ -230,6 +230,33 @@ def test_depth_scan_smoke(capsys):
     assert "perron_eigenvalue: " in out
 
 
+@pytest.mark.parametrize("flags, regime", [
+    ((), "subcritical"), (("--sigma-w", "2.0"), "supercritical"),
+])
+def test_depth_scan_mlp_reports_the_graph_free_limit(flags, regime, capsys):
+    code, out, err = run_cli(
+        capsys, "depth-scan", "--dataset", FIXTURE_DIR, "--arch", "mlp", "--layers", "6",
+        *flags,
+    )
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert f"regime: {regime}" in lines
+    has_flat_level = any(line.startswith("flat_level: ") for line in lines)
+    assert has_flat_level == (regime == "subcritical")
+    rows = table_rows(out, "mlp_trace")
+    assert [r[0] for r in rows] == [str(l) for l in range(1, 7)]
+    assert all(np.isfinite(float(x)) for r in rows for x in r[1:])
+
+
+def test_depth_scan_mlp_rejects_the_critical_point(capsys):
+    code, out, err = run_cli(
+        capsys, "depth-scan", "--dataset", FIXTURE_DIR, "--arch", "mlp",
+        "--sigma-w", "1.4142135623730951",
+    )
+    assert (code, out) == (1, "")
+    assert "critical point" in err
+
+
 # each architecture's own hyperparameters, far from their defaults: a sampler
 # that dropped any of them would miss the analytic kernel by far more than the
 # bound

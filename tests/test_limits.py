@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from graphgp import (
     KernelProgram,
+    base_inner,
     build_adjacency,
     depth_scan,
     mlp_fixed_point,
@@ -199,6 +202,11 @@ def test_mlp_recursion_runs_at_threshold():
     assert np.abs(kernels[-1].diagonal() - 0.7).max() <= 1e-13
 
 
+def test_mlp_recursion_rejects_negative_sigma():
+    with pytest.raises(ValueError, match="sigma parameters must be nonnegative"):
+        mlp_recursion(np.eye(2), -0.1, 1.0, 3)
+
+
 def test_fixed_point_rejects_threshold_weight():
     with pytest.raises(ValueError, match="critical point"):
         mlp_fixed_point(0.1, np.sqrt(2.0), np.eye(3), 5)
@@ -207,6 +215,24 @@ def test_fixed_point_rejects_threshold_weight():
 def test_fixed_point_rejects_negative_sigma():
     with pytest.raises(ValueError, match="nonnegative"):
         mlp_fixed_point(-0.1, 1.0, np.eye(3), 5)
+
+
+# peak of mlp_fixed_point in N x N float64 arrays: the observer keeps no
+# kernel, so a 40-layer run peaks where a 5-layer one does
+@pytest.mark.parametrize("sigma_w", [1.0, 2.0])
+def test_fixed_point_memory_does_not_grow_with_depth(sigma_w):
+    n = 400
+    k0 = base_inner(random_features(n, 16, 0))
+    peaks = {}
+    for depth in (5, 40):
+        tracemalloc.start()
+        try:
+            mlp_fixed_point(0.3, sigma_w, k0, depth)
+            peaks[depth] = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+        finally:
+            tracemalloc.stop()
+    assert peaks[40] <= 7.5
+    assert abs(peaks[40] - peaks[5]) <= 0.1
 
 
 def test_subcritical_flattens_geometrically():

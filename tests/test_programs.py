@@ -6,15 +6,16 @@ import pytest
 from graphgp import kernels
 from graphgp import (
     FactorizationError,
+    GraphConv,
     KernelProgram,
     LandmarkSet,
     LowRankFactor,
     McConfig,
+    apply_block_exact,
     base_inner,
     base_poly,
     compare_covariance,
     gcnii_beta_schedule,
-    ggp_kernel,
     identity_adjacency,
     lowrank_variant,
     nystrom_start,
@@ -170,7 +171,7 @@ def test_ggp_kernel_formula():
     n = 6
     a = row_operator(n, seed=15)
     x = random_features(n, 3, seed=16)
-    got = ggp_kernel(a, x, c=5.0, d=3.0)
+    got = apply_block_exact(base_poly(x, c=5.0, d=3.0), GraphConv(a))
     ad = a.toarray()
     expect = ad @ ((x @ x.T + 5.0) ** 3) @ ad.T
     assert np.abs(got - expect).max() / np.abs(expect).max() <= 1e-12
