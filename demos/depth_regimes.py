@@ -30,7 +30,7 @@ def main():
     rng = np.random.default_rng(12)
     n = 24
     edges = random_connected_edges(n, 30, rng)
-    a = normalize_sym(build_adjacency(edges, n, add_self_loops=False))
+    a = normalize_sym(build_adjacency(edges, n))
     x = rng.normal(size=(n, 10))
     k0 = x @ x.T
 

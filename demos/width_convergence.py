@@ -38,7 +38,7 @@ SAMPLES = 30
 def main():
     rng = np.random.default_rng(5)
     edges = random_connected_edges(N_NODES, 5, rng)
-    a = normalize_sym(build_adjacency(edges, N_NODES, add_self_loops=False))
+    a = normalize_sym(build_adjacency(edges, N_NODES))
     x = rng.normal(size=(N_NODES, 6))
 
     program = KernelProgram.gcn(a, DEPTH, sigma_b=SIGMA_B, sigma_w=SIGMA_W)

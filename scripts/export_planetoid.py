@@ -102,7 +102,7 @@ def assemble(name, raw):
     )
     return Dataset(
         name=name,
-        graph=build_adjacency(edges, n, add_self_loops=False),
+        graph=build_adjacency(edges, n),
         features=features,
         targets=targets,
         splits=splits,

@@ -107,15 +107,18 @@ def _from_scipy(m: sp.spmatrix, n_nodes: int) -> SparseAdjacency:
 
 
 def build_adjacency(
-    edges: np.ndarray, n_nodes: int, add_self_loops: bool = True
+    edges: np.ndarray, n_nodes: int, add_self_loops: bool = False
 ) -> SparseAdjacency:
-    """Assemble a binary symmetric adjacency from an undirected edge list.
+    """Assemble the raw binary symmetric adjacency of an undirected edge list.
 
     Duplicate and reversed pairs collapse to a single stored value of 1.0;
     the result is in canonical CSR order, so any permutation of the input
-    edge list builds the identical structure.  Self-loops appear exactly when
-    ``add_self_loops`` is set (input diagonal entries are dropped otherwise).
+    edge list builds the identical structure.  Input diagonal entries are
+    dropped, since ``normalize_sym`` and ``normalize_row`` add the identity
+    themselves; ``add_self_loops`` is accepted only as False.
     """
+    if add_self_loops:
+        raise ValueError("build_adjacency adds no self-loops; the normalizations add them")
     if n_nodes < 1:
         raise ValueError("n_nodes must be positive")
     edges = np.asarray(edges, dtype=np.int64)
@@ -131,10 +134,6 @@ def build_adjacency(
     v = np.concatenate([edges[:, 1], edges[:, 0]])
     offdiag = u != v
     u, v = u[offdiag], v[offdiag]
-    if add_self_loops:
-        loop = np.arange(n_nodes, dtype=np.int64)
-        u = np.concatenate([u, loop])
-        v = np.concatenate([v, loop])
     m = sp.coo_matrix(
         (np.ones(u.shape[0]), (u, v)), shape=(n_nodes, n_nodes)
     ).tocsr()
@@ -147,34 +146,31 @@ def identity_adjacency(n_nodes: int) -> SparseAdjacency:
     return _from_scipy(sp.identity(n_nodes, format="csr"), n_nodes)
 
 
-def _check_no_self_loops(a: SparseAdjacency, op: str) -> None:
+def _normalize(a: SparseAdjacency, op: str, symmetric: bool) -> SparseAdjacency:
+    """I + A0 scaled by (I+D)^{-1/2} on both sides, or by (I+D)^{-1} on the left."""
     if np.any(a.diagonal() != 0):
         raise ValueError(
             f"{op} expects the raw adjacency without self-loops; "
             "it adds the identity internally"
         )
+    one_plus_deg = 1.0 + a.degrees()
+    scale = 1.0 / (np.sqrt(one_plus_deg) if symmetric else one_plus_deg)
+    m = (a.to_csr() + sp.identity(a.n_nodes, format="csr")).tocoo()
+    data = m.data * scale[m.row]
+    if symmetric:
+        data *= scale[m.col]
+    out = sp.coo_matrix((data, (m.row, m.col)), shape=m.shape)
+    return _from_scipy(out, a.n_nodes)
 
 
 def normalize_sym(a: SparseAdjacency) -> SparseAdjacency:
     """Symmetric normalization (I+D)^{-1/2} (I+A0) (I+D)^{-1/2}."""
-    _check_no_self_loops(a, "normalize_sym")
-    deg = np.asarray(a.to_csr().sum(axis=1)).ravel()
-    scale = 1.0 / np.sqrt(1.0 + deg)
-    m = (a.to_csr() + sp.identity(a.n_nodes, format="csr")).tocoo()
-    data = m.data * scale[m.row] * scale[m.col]
-    out = sp.coo_matrix((data, (m.row, m.col)), shape=m.shape)
-    return _from_scipy(out, a.n_nodes)
+    return _normalize(a, "normalize_sym", symmetric=True)
 
 
 def normalize_row(a: SparseAdjacency) -> SparseAdjacency:
     """Row normalization (I+D)^{-1} (I+A0); rows sum to one."""
-    _check_no_self_loops(a, "normalize_row")
-    deg = np.asarray(a.to_csr().sum(axis=1)).ravel()
-    scale = 1.0 / (1.0 + deg)
-    m = (a.to_csr() + sp.identity(a.n_nodes, format="csr")).tocoo()
-    data = m.data * scale[m.row]
-    out = sp.coo_matrix((data, (m.row, m.col)), shape=m.shape)
-    return _from_scipy(out, a.n_nodes)
+    return _normalize(a, "normalize_row", symmetric=False)
 
 
 def is_connected(a: SparseAdjacency) -> bool:

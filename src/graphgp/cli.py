@@ -52,18 +52,14 @@ def _parse_grid(text: str) -> tuple:
         raise argparse.ArgumentTypeError(str(err)) from None
 
 
-def _parse_int_list(text: str) -> tuple:
-    try:
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
-
-
-def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(p) for p in text.split(",") if p.strip())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(str(err)) from None
+def _parse_list(kind: type):
+    """Parser of a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(p) for p in text.split(",") if p.strip())
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+    return parse
 
 
 def _parse_bool(text: str) -> bool:
@@ -103,8 +99,8 @@ _FIELD_PARSERS = {
     "degree": float,
     "center": _parse_bool,
     "nugget_grid": _parse_grid,
-    "sizes": _parse_int_list,
-    "ratios": _parse_float_list,
+    "sizes": _parse_list(int),
+    "ratios": _parse_list(float),
 }
 
 

@@ -160,7 +160,7 @@ def load_dataset(directory: str) -> Dataset:
         )
 
     edges = read_edge_list(_need(directory, "edges.txt"))
-    graph = build_adjacency(edges, n, add_self_loops=False)
+    graph = build_adjacency(edges, n)
 
     splits = _load_splits(_need(directory, "splits.json"))
     splits.validate_for(n)
@@ -265,7 +265,7 @@ def synthetic_dataset(n_nodes: int, avg_degree: float = 4.0, n_features: int = 1
     rng = np.random.default_rng(seed)
     n_extra = max(0, int(round((avg_degree - 2.0) * n_nodes / 2.0)))
     edges = random_connected_edges(n_nodes, n_extra, rng)
-    graph = build_adjacency(edges, n_nodes, add_self_loops=False)
+    graph = build_adjacency(edges, n_nodes)
     features = rng.normal(size=(n_nodes, n_features))
     if n_classes > 0:
         targets = (features @ rng.normal(size=n_features) > 0).astype(np.int64)

@@ -252,24 +252,28 @@ def _tile_rows(n_cols: int) -> int:
     return max(1, _TILE_ELEMENTS // max(n_cols, 1))
 
 
-def _relu_gauss(k_block: np.ndarray, d_rows: np.ndarray, d_cols: np.ndarray,
-                var_floor: float, out: np.ndarray) -> np.ndarray:
-    """Entrywise ReLU expectation for a block of K given the two diagonals.
+def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """ReLU expectation of the columns K[:, idx], given K's diagonal ``d``.
 
-    Writes into ``out`` (which may be ``k_block`` itself) row tile by row
-    tile and returns it.  Rows/columns whose variance is at or below
-    ``var_floor`` are zeroed (a degenerate node has no signal to propagate).
+    Writes into ``out`` (which may be ``k_cols`` itself) row tile by row
+    tile and returns it.  A node with variance at or below VAR_FLOOR_REL *
+    max(d) has no signal to propagate and gets zero rows and columns; each
+    node's entry with itself, out[idx[j], j], is exactly half its variance
+    (arccos would round).  The dense path passes ``idx = arange(N)``.
     """
-    alive_r = d_rows > var_floor
+    var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
+    d_cols = d[idx]
+    alive_r = d > var_floor
     alive_c = d_cols > var_floor
-    sr = np.sqrt(np.where(alive_r, d_rows, 1.0))
+    sr = np.sqrt(np.where(alive_r, d, 1.0))
     sc = np.sqrt(np.where(alive_c, d_cols, 1.0))
     rows = _tile_rows(sc.size)
     for r0 in range(0, sr.size, rows):
         r1 = r0 + rows
         rho = out[r0:r1]
         denom = np.outer(sr[r0:r1], sc)
-        np.divide(k_block[r0:r1], denom, out=rho)
+        np.divide(k_cols[r0:r1], denom, out=rho)
         np.clip(rho, -1.0, 1.0, out=rho)
         t = np.arccos(rho)
         sin_t = np.sin(t)
@@ -282,25 +286,22 @@ def _relu_gauss(k_block: np.ndarray, d_rows: np.ndarray, d_cols: np.ndarray,
         out[~alive_r, :] = 0.0
     if not alive_c.all():
         out[:, ~alive_c] = 0.0
+    out[idx, np.arange(idx.size)] = np.where(alive_c, 0.5 * d_cols, 0.0)
     return out
 
 
 def relu_expectation(k: np.ndarray) -> np.ndarray:
     """Post-activation covariance C = E[relu(z) relu(z')^T], z ~ N(0, K).
 
-    The diagonal of the result is exactly half the input diagonal (written
-    explicitly rather than through arccos, which would round).  Nodes with
-    vanishing variance get zero rows and columns.  Besides ``k`` and the
-    result, only row-tile buffers are allocated.
+    The diagonal of the result is exactly half the input diagonal, and nodes
+    with vanishing variance get zero rows and columns (see ``_relu_gauss``).
+    Besides ``k`` and the result, only row-tile buffers are allocated.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("kernel must be square")
     d = np.maximum(k.diagonal(), 0.0)
-    var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
-    c = _relu_gauss(k, d, d, var_floor, np.empty(k.shape))
-    np.fill_diagonal(c, np.where(d > var_floor, 0.5 * d, 0.0))
-    return c
+    return _relu_gauss(k, d, np.arange(d.size), np.empty(k.shape))
 
 
 def _graph_conv(m, k: np.ndarray) -> np.ndarray:
@@ -423,13 +424,8 @@ def apply_block_lowrank(
         if idx[-1] >= factor.n:
             raise ValueError("landmark index out of range for this factor")
         q = factor.q
-        d = factor.gram_diag()
         k_cols = q @ q[idx].T
-        var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
-        c_cols = _relu_gauss(k_cols, d, d[idx], var_floor, out=k_cols)
-        # landmark-with-itself entries are diagonal entries: halve exactly
-        alive = d[idx] > var_floor
-        c_cols[idx, np.arange(idx.size)] = np.where(alive, 0.5 * d[idx], 0.0)
+        c_cols = _relu_gauss(k_cols, factor.gram_diag(), idx, out=k_cols)
         return chol_factor(c_cols, c_cols[idx])
     if isinstance(block, IndependentAdd):
         other = block.other

@@ -30,7 +30,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .adjacency import SpectralInfo, is_connected, spectral_radius
-from .kernels import relu_expectation
+from .kernels import _tile_rows, relu_expectation
 from .programs import KernelProgram, run_exact
 
 # dense per-layer spectra make large scans expensive; keep them small
@@ -60,14 +60,21 @@ class DepthTrace:
     scale_base: float = float("nan")
 
 
+def _row_strips(n: int) -> List[slice]:
+    """Row slices of one kernel tile each, so that no N x N temporary forms."""
+    rows = _tile_rows(n)
+    return [slice(r0, r0 + rows) for r0 in range(0, n, rows)]
+
+
 def _min_correlation(k: np.ndarray) -> float:
+    """min_ij K_ij / sqrt(K_ii K_jj), taken over row strips."""
     d = np.maximum(k.diagonal(), 0.0)
     if np.any(d <= 0):
         return float("nan")
     s = np.sqrt(d)
-    rho = k / np.outer(s, s)
+    lowest = np.min([(k[r] / np.outer(s[r], s)).min() for r in _row_strips(s.size)])
     # sqrt round-off can push a flat kernel's ratios one ulp past 1
-    return float(np.clip(rho.min(), -1.0, 1.0))
+    return float(np.clip(lowest, -1.0, 1.0))
 
 
 def _top2_ratio(k: np.ndarray) -> float:
@@ -209,15 +216,16 @@ def mlp_fixed_point(sigma_b: float, sigma_w: float, k0: np.ndarray,
     q, v = float("nan"), None
     if delta < 1.0:
         q = sigma_b**2 / (1.0 - delta)
-        scale, limit = 1.0, q
+        scale, limit = 1.0, lambda r: q
     else:
         v = np.sqrt(sigma_b**2 / (delta - 1.0) + np.maximum(k0.diagonal(), 0.0))
-        scale, limit = delta, np.outer(v, v)
+        scale, limit = delta, lambda r: np.outer(v[r], v)
     layers = np.arange(1, depth + 1)
     gaps, tr, rho = np.empty(depth), np.empty(depth), np.empty(depth)
 
     def observe(layer: int, k: np.ndarray) -> None:
-        gaps[layer - 1] = np.abs(k / scale**layer - limit).max()
+        gaps[layer - 1] = np.max([np.abs(k[r] / scale**layer - limit(r)).max()
+                                  for r in _row_strips(k.shape[0])])
         tr[layer - 1] = np.trace(k)
         rho[layer - 1] = _min_correlation(k)
 

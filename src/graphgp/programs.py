@@ -54,6 +54,8 @@ def gcnii_beta_schedule(depth: int, decay: float = 0.5) -> tuple:
     """Per-layer mixing strengths beta_l = log(decay / l + 1), l = 1..depth."""
     if depth < 1:
         raise ValueError("depth must be positive")
+    if not decay >= 0:
+        raise ValueError(f"decay must be nonnegative to keep every beta finite, got {decay}")
     layers = np.arange(1, depth + 1)
     return tuple(np.log(decay / layers + 1.0))
 
@@ -79,6 +81,10 @@ class KernelProgram:
             raise ValueError("depth must be positive")
         if min(self.sigma_b, self.sigma_w, self.sigma_w1, self.sigma_w2) < 0:
             raise ValueError("sigma parameters must be nonnegative")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
+        if not np.isfinite(self.beta_schedule).all():
+            raise ValueError("beta schedule entries must be finite")
         if self.architecture == "gcnii" and len(self.beta_schedule) != self.depth:
             raise ValueError(
                 f"gcnii needs one beta per layer: got {len(self.beta_schedule)} "

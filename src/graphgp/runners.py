@@ -168,19 +168,14 @@ def _base_callable(cfg: RunConfig, gamma: Optional[float]):
     raise ValueError(f"unknown base kernel {cfg.base!r}")
 
 
-def _program_for(cfg: RunConfig, arch: str, a, sigma_b: float) -> KernelProgram:
-    if arch in ("gcn", "mlp"):
-        return KernelProgram(arch, a, cfg.layers, sigma_b=sigma_b, sigma_w=cfg.sigma_w)
-    if arch == "gcnii":
-        return KernelProgram.gcnii(
-            a, cfg.layers, sigma_w=cfg.sigma_w, alpha=cfg.alpha,
-            beta_schedule=gcnii_beta_schedule(cfg.layers, cfg.decay),
-        )
-    if arch == "gin":
-        return KernelProgram.gin(a, cfg.layers, sigma_b=sigma_b, sigma_w=cfg.sigma_w)
-    if arch == "sage":
-        return KernelProgram.sage(a, cfg.layers, sigma_w1=cfg.sigma_w1, sigma_w2=cfg.sigma_w2)
-    raise ValueError(f"{arch!r} is not a layered architecture")
+def _program_for(cfg: RunConfig, a, sigma_b: float) -> KernelProgram:
+    """The run's layered program, built from (and so validating) every
+    hyperparameter of ``cfg``; only gcnii gets a beta schedule."""
+    betas = gcnii_beta_schedule(cfg.layers, cfg.decay) if cfg.arch == "gcnii" else ()
+    return KernelProgram(
+        cfg.arch, a, cfg.layers, sigma_b=sigma_b, sigma_w=cfg.sigma_w, alpha=cfg.alpha,
+        beta_schedule=betas, sigma_w1=cfg.sigma_w1, sigma_w2=cfg.sigma_w2,
+    )
 
 
 def _pick_landmarks(cfg: RunConfig, train_idx: np.ndarray, n_nodes: int) -> LandmarkSet:
@@ -229,7 +224,7 @@ def _build_representation(cfg: RunConfig, a, feats, sigma_b: float,
         return rep
     if cfg.arch == "ggp":
         return apply(rep, GraphConv(a))
-    return run(_program_for(cfg, cfg.arch, a, sigma_b), rep)
+    return run(_program_for(cfg, a, sigma_b), rep)
 
 
 def _predict_and_score(fit, ds: Dataset, names: tuple, phases: _Phases):
@@ -386,9 +381,10 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     report.set("arch", cfg.arch)
     report.set("layers", cfg.layers)
     _report_hyperparameters(report, cfg, sigma_b)
+    program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
 
     if cfg.arch == "mlp":
-        result = mlp_fixed_point(sigma_b, cfg.sigma_w, k0, cfg.layers)
+        result = mlp_fixed_point(program.sigma_b, program.sigma_w, k0, program.depth)
         report.set("regime", result.regime)
         if result.regime == "subcritical":
             report.set("flat_level", float(result.flat_level))
@@ -397,9 +393,6 @@ def run_depth_scan(cfg: RunConfig) -> Report:
             t.add(int(result.layers[i]), float(result.gaps[i]),
                   float(result.trace[i]), float(result.rho_min[i]))
         return report
-
-    a = _operator_for(cfg.arch, ds)
-    program = _program_for(cfg, cfg.arch, a, sigma_b)
 
     per_depth_metrics = {}
 
@@ -436,7 +429,7 @@ def run_mc_verify(cfg: RunConfig) -> Report:
         raise ValueError("the finite-width surrogate feeds raw features; base must be inner")
     ds = load_dataset(cfg.dataset)
     sigma_b = _default_sigma_b(cfg, ds.task)
-    program = _program_for(cfg, cfg.arch, _operator_for(cfg.arch, ds), sigma_b)
+    program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
     analytic = run_exact(program, base_inner(ds.features))
     mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
     empirical = sample_covariance(mc, ds.features)
@@ -469,7 +462,6 @@ def run_benchmark(cfg: RunConfig) -> Report:
             f"not {cfg.arch!r}"
         )
     n_landmarks = cfg.landmarks if cfg.landmarks is not None else 128
-    sigma_b = 0.0 if cfg.sigma_b is None else cfg.sigma_b
     cases = []
     for n in cfg.sizes:
         ds = synthetic_dataset(
@@ -478,7 +470,7 @@ def run_benchmark(cfg: RunConfig) -> Report:
         landmarks = LandmarkSet.draw(
             ds.splits.train, min(n_landmarks, ds.splits.train.size), cfg.seed
         )
-        program = _program_for(cfg, cfg.arch, _operator_for(cfg.arch, ds), sigma_b)
+        program = _program_for(cfg, _operator_for(cfg.arch, ds), _default_sigma_b(cfg, ds.task))
         cases.append((int(n), ds, landmarks, program))
 
     def build(ds, landmarks, program):

@@ -22,7 +22,7 @@ def ring_with_chords(n, extra=0, seed=0):
         if i != j:
             edges.append((int(i), int(j)))
             extra -= 1
-    return build_adjacency(np.asarray(edges), n, add_self_loops=False)
+    return build_adjacency(np.asarray(edges), n)
 
 
 def sym_operator(n, extra=0, seed=0):

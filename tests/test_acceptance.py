@@ -78,7 +78,7 @@ def test_criterion_2_all_landmark_coherence():
     for case in range(10):
         n = int(rng.integers(10, 31))
         edges = random_connected_edges(n, int(rng.integers(2, n)), rng)
-        raw = build_adjacency(edges, n, add_self_loops=False)
+        raw = build_adjacency(edges, n)
         x = rng.normal(size=(n, n + 8))
         k0 = base_inner(x)
         marks = LandmarkSet.all_nodes(n)
@@ -135,7 +135,7 @@ def test_criterion_4_kernel_positive_definiteness():
     while done < 20:
         n = int(rng.integers(8, 27))
         edges = random_connected_edges(n, int(rng.integers(n // 2, n + 1)), rng)
-        a = normalize_sym(build_adjacency(edges, n, add_self_loops=False))
+        a = normalize_sym(build_adjacency(edges, n))
         if np.abs(np.linalg.eigvalsh(a.toarray())).min() < 0.03:
             continue
         x = rng.normal(size=(n, n + 5))

@@ -18,7 +18,7 @@ from conftest import ring_with_chords
 
 def test_build_collapses_duplicates_and_reversals():
     edges = np.array([[0, 1], [1, 0], [0, 1], [2, 3]])
-    a = build_adjacency(edges, 4, add_self_loops=False)
+    a = build_adjacency(edges, 4)
     expect = np.zeros((4, 4))
     expect[0, 1] = expect[1, 0] = 1.0
     expect[2, 3] = expect[3, 2] = 1.0
@@ -28,10 +28,10 @@ def test_build_collapses_duplicates_and_reversals():
 
 def test_build_self_loop_flag():
     edges = np.array([[0, 1], [1, 1]])  # input diagonal entry
-    bare = build_adjacency(edges, 3, add_self_loops=False)
+    bare = build_adjacency(edges, 3)
     assert np.array_equal(bare.diagonal(), np.zeros(3))
-    looped = build_adjacency(edges, 3, add_self_loops=True)
-    assert np.array_equal(looped.diagonal(), np.ones(3))
+    with pytest.raises(ValueError, match="adds no self-loops"):
+        build_adjacency(edges, 3, add_self_loops=True)
 
 
 def test_build_rejects_out_of_range():
@@ -44,15 +44,15 @@ def test_build_rejects_out_of_range():
 def test_edge_permutation_builds_identical_structure():
     rng = np.random.default_rng(11)
     edges = np.array([(i, (i + 3) % 10) for i in range(10)] + [(0, 5), (2, 7)])
-    a = build_adjacency(edges, 10, add_self_loops=False)
-    b = build_adjacency(edges[rng.permutation(len(edges))], 10, add_self_loops=False)
+    a = build_adjacency(edges, 10)
+    b = build_adjacency(edges[rng.permutation(len(edges))], 10)
     assert np.array_equal(a.row_offsets, b.row_offsets)
     assert np.array_equal(a.col_indices, b.col_indices)
     assert np.array_equal(a.values, b.values)
 
 
 def test_degrees_with_isolated_node():
-    a = build_adjacency(np.array([[0, 1]]), 3, add_self_loops=False)
+    a = build_adjacency(np.array([[0, 1]]), 3)
     assert np.array_equal(a.degrees(), np.array([1.0, 1.0, 0.0]))
 
 
@@ -78,7 +78,7 @@ def test_normalize_row_matches_dense_formula():
 
 
 def test_normalize_rejects_self_loops():
-    looped = build_adjacency(np.array([[0, 1]]), 2, add_self_loops=True)
+    looped = normalize_sym(build_adjacency(np.array([[0, 1]]), 2))
     with pytest.raises(ValueError, match="without self-loops"):
         normalize_sym(looped)
     with pytest.raises(ValueError, match="without self-loops"):
@@ -118,7 +118,7 @@ def test_power_iteration_rank_one():
 def test_power_iteration_reports_nonconvergence():
     # path graph without self-loops is bipartite: eigenvalues come in +/-
     # pairs, the dominant pair ties in magnitude, and the iteration stalls
-    path = build_adjacency(np.array([[0, 1], [1, 2]]), 3, add_self_loops=False)
+    path = build_adjacency(np.array([[0, 1], [1, 2]]), 3)
     with pytest.raises(PowerIterationError) as exc:
         spectral_radius(path, tol=1e-12, max_iter=150)
     assert exc.value.residual > 0.0
@@ -127,7 +127,7 @@ def test_power_iteration_reports_nonconvergence():
 
 def test_is_connected():
     assert is_connected(ring_with_chords(6))
-    two_parts = build_adjacency(np.array([[0, 1], [2, 3]]), 4, add_self_loops=False)
+    two_parts = build_adjacency(np.array([[0, 1], [2, 3]]), 4)
     assert not is_connected(two_parts)
 
 

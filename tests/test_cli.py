@@ -1,4 +1,8 @@
+import contextlib
+import io
+import math
 import os
+import re
 import shutil
 
 import numpy as np
@@ -22,11 +26,19 @@ from graphgp import (
 )
 from graphgp import runners
 from graphgp.cli import main
-from graphgp.runners import RunConfig, run_benchmark
+from graphgp.runners import ARCH_CHOICES, RunConfig, run_benchmark
 
 from conftest import FIXTURE_DIR
 
 GOLDEN_SCHEMA = os.path.join(os.path.dirname(__file__), "data", "infer_schema.txt")
+GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "data", "fixture_reports.txt")
+GOLDEN_RUNS = (
+    *(("infer", "--arch", arch) for arch in ARCH_CHOICES),
+    ("infer", "--arch", "gcn", "--path", "lowrank"),
+    ("depth-scan", "--arch", "gcn", "--layers", "12"),
+    ("depth-scan", "--arch", "mlp", "--layers", "12"),
+)
+NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
 
 def run_cli(capsys, *args):
@@ -68,6 +80,39 @@ def test_infer_schema_is_frozen(capsys):
     assert code == 0
     with open(GOLDEN_SCHEMA, encoding="utf-8") as fh:
         assert report_schema(out) == fh.read().splitlines()
+
+
+def fixture_reports():
+    """Each golden run's report on the fixture outside [timing], under a
+    '# graphgp ...' line naming the run.
+
+    tests/data/fixture_reports.txt holds this text.  Rewriting that file is
+    a deliberate change of report bytes, recorded in CHANGES.md.
+    """
+    parts = []
+    for args in GOLDEN_RUNS:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert main([*args, "--dataset", FIXTURE_DIR]) == 0
+        parts.append(f"# graphgp {' '.join(args)}\n{strip_timing(buf.getvalue())}\n")
+    return "".join(parts)
+
+
+def test_fixture_reports_match_golden():
+    # text exactly, numbers to 1e-9 relative, since another BLAS may round a
+    # 12th digit; and to 1e-14 absolute, since a singular-value ratio near
+    # 1e-11 (depth-scan's last layers) moves by about 1e-16 with the order
+    # of the rounding
+    with open(GOLDEN_REPORTS, encoding="utf-8") as fh:
+        want = fh.read().splitlines()
+    got = fixture_reports().splitlines()
+    assert len(got) == len(want)
+    for got_line, want_line in zip(got, want):
+        got_parts, want_parts = NUMBER.split(got_line), NUMBER.split(want_line)
+        assert got_parts[::2] == want_parts[::2], got_line
+        for g, w in zip(got_parts[1::2], want_parts[1::2]):
+            assert math.isclose(float(g), float(w), rel_tol=1e-9, abs_tol=1e-14), (
+                got_line, want_line)
 
 
 def test_infer_is_reproducible_outside_timing(capsys):
@@ -357,6 +402,22 @@ def test_single_class_dataset_runs(tmp_path, capsys):
     code, out, err = run_cli(capsys, "depth-scan", "--dataset", str(d), "--layers", "3")
     assert (code, err) == (0, "")
     assert [r[-1] for r in table_rows(out, "depth_trace")] == ["1", "1", "1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("infer", "--arch", "gcnii", "--alpha", "1.5"), "alpha must be in [0, 1]"),
+    (("infer", "--arch", "gcnii", "--alpha", "-0.5"), "alpha must be in [0, 1]"),
+    (("infer", "--arch", "gcnii", "--decay", "-2"), "decay must be nonnegative"),
+    (("infer", "--arch", "gcnii", "--decay", "-1"), "decay must be nonnegative"),
+    (("infer", "--arch", "sage", "--sigma-w", "-1"), "sigma parameters must be nonnegative"),
+    (("infer", "--arch", "gcnii", "--sigma-b", "-1"), "sigma parameters must be nonnegative"),
+    (("depth-scan", "--arch", "mlp", "--alpha", "2"), "alpha must be in [0, 1]"),
+], ids=["alpha-above-one", "alpha-below-zero", "decay-minus-two", "decay-minus-one",
+        "sage-sigma-w", "gcnii-sigma-b", "depth-scan-mlp-alpha"])
+def test_invalid_hyperparameters_are_rejected(args, message, capsys):
+    code, out, err = run_cli(capsys, *args, "--dataset", FIXTURE_DIR)
+    assert (code, out) == (1, "")
+    assert message in err
 
 
 def test_nugget_grid_needs_a_point(capsys):

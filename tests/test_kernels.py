@@ -343,10 +343,12 @@ def test_tiled_relu_gauss_block_matches_untiled(monkeypatch, in_place):
     d = np.einsum("ij,ij->i", q, q)
     floor = kernels.VAR_FLOOR_REL * d.max()
     ref = untiled_relu_gauss(k, d, d[idx], floor)
+    ref[idx, np.arange(idx.size)] = np.where(d[idx] > floor, 0.5 * d[idx], 0.0)
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 4 * 5)  # 9 tiles of 4 rows, then 1
     out = k if in_place else np.empty_like(k)
-    got = kernels._relu_gauss(k, d, d[idx], floor, out=out)
+    got = kernels._relu_gauss(k, d, idx, out=out)
     assert got is out
+    assert np.array_equal(got[idx, np.arange(idx.size)], ref[idx, np.arange(idx.size)])
     assert_close(got, ref)
     assert np.all(got[3] == 0.0) and np.all(got[:, 3] == 0.0)
 

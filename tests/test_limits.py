@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from graphgp import kernels, limits
 from graphgp import (
     KernelProgram,
     base_inner,
@@ -45,7 +46,7 @@ def test_scan_rejects_asymmetric_operator():
 
 
 def test_scan_rejects_disconnected_graph():
-    a = normalize_sym(build_adjacency([(0, 1), (2, 3)], 4, add_self_loops=False))
+    a = normalize_sym(build_adjacency([(0, 1), (2, 3)], 4))
     prog = KernelProgram.gcn(a, 2)
     with pytest.raises(ValueError, match="irreducible"):
         depth_scan(prog, np.eye(4))
@@ -54,7 +55,7 @@ def test_scan_rejects_disconnected_graph():
 def test_scan_rejects_zero_diagonal():
     # raw triangle: symmetric and connected but without the self-loops
     # that make the operator aperiodic
-    a = build_adjacency([(0, 1), (1, 2), (0, 2)], 3, add_self_loops=False)
+    a = build_adjacency([(0, 1), (1, 2), (0, 2)], 3)
     prog = KernelProgram.gcn(a, 2)
     with pytest.raises(ValueError, match="positive diagonal"):
         depth_scan(prog, np.eye(3))
@@ -178,6 +179,24 @@ def test_top_eigenvector_aligns_with_perron_profile():
     cos = abs(vecs[:, -1] @ trace.perron.eigenvector)
     assert np.arccos(min(cos, 1.0)) <= 1e-4
     assert trace.scaled_gap[-1] <= 1e-4
+
+
+def test_min_correlation_in_row_tiles(monkeypatch):
+    # row tiles divide each entry as the whole-matrix expression does, so the
+    # minimum is the same float, with no N x N temporary
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)
+    n = 1000
+    k = inner_k0(n, 16, 3)
+    s = np.sqrt(k.diagonal())
+    ref = float(np.clip((k / np.outer(s, s)).min(), -1.0, 1.0))
+    tracemalloc.start()
+    try:
+        got = limits._min_correlation(k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == ref
+    assert peak / (8.0 * n * n) <= 0.1
 
 
 # ---------------------------------------------------------------------------

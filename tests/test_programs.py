@@ -185,6 +185,14 @@ def test_program_validation():
         KernelProgram("gcn", a, 0)
     with pytest.raises(ValueError, match="one beta per layer"):
         KernelProgram("gcnii", a, 3, beta_schedule=(0.1,))
+    for alpha in (1.5, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="alpha must be in"):
+            KernelProgram("gcn", a, 2, alpha=alpha)
+    for beta in (float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="beta schedule entries must be finite"):
+            KernelProgram("gcnii", a, 2, beta_schedule=(0.1, beta))
+    with pytest.raises(ValueError, match="decay must be nonnegative"):
+        gcnii_beta_schedule(3, decay=-1.0)
     with pytest.raises(ValueError, match="does not match"):
         run_exact(KernelProgram.gcn(a, 1), np.eye(5))
 
