@@ -13,10 +13,12 @@ posterior mean is
 Classification runs C independent regressions against one-hot targets and
 takes the channel argmax (a single class is predicted everywhere).  Both
 posteriors start from ``train_block``'s nugget-free system, (K_bb, y_b) or
-(Q_b^T Q_b, Q_b^T y_b).  ``nugget_search`` forms it once, fits each
-candidate eps on it, scores the fit on the validation split by Micro-F1
-(classification) or R^2 (regression) with ``score_mean``, and returns the
-winning fit itself, ready to predict.
+(Q_b^T Q_b, Q_b^T y_b).  Its finiteness is checked once, there, and each
+fit factors its own Fortran-ordered copy in place without checking again.
+``nugget_search`` forms it once, gathers the validation rows once, fits
+each candidate eps on it, scores the fit on the validation split by
+Micro-F1 (classification) or R^2 (regression) with ``score_mean``, and
+returns the winning fit itself, ready to predict.
 """
 
 from __future__ import annotations
@@ -82,6 +84,9 @@ def train_block(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray):
 
     For a dense kernel G = K_bb and B = Y; for a factor G = Q_b^T Q_b and
     B = Q_b^T Y.  Y is the targets as a matrix, one row per training node.
+    An inf or NaN in G or B raises ValueError here; the fits that start
+    from the pair do not check again.  G is held in Fortran order, so each
+    fit's copy of it is a plain memcpy that LAPACK factors in place.
     """
     train_idx = np.asarray(train_idx, dtype=np.int64)
     if train_idx.size == 0:
@@ -94,9 +99,11 @@ def train_block(kernel_or_factor, train_idx: np.ndarray, y_train: np.ndarray):
         )
     if isinstance(kernel_or_factor, LowRankFactor):
         qb = kernel_or_factor.q[train_idx]
-        return qb.T @ qb, qb.T @ y
-    kernel = np.asarray(kernel_or_factor, dtype=np.float64)
-    return kernel[np.ix_(train_idx, train_idx)], y
+        gram, rhs = qb.T @ qb, qb.T @ y
+    else:
+        kernel = np.asarray(kernel_or_factor, dtype=np.float64)
+        gram, rhs = kernel[np.ix_(train_idx, train_idx)], y
+    return np.asfortranarray(np.asarray_chkfinite(gram)), np.asarray_chkfinite(rhs)
 
 
 def _given_or_own(kernel_or_factor, train_idx, y_train, block, size: int):
@@ -111,11 +118,24 @@ def _given_or_own(kernel_or_factor, train_idx, y_train, block, size: int):
     return gram, rhs
 
 
+def _shifted(gram: np.ndarray, nugget: float) -> np.ndarray:
+    """Fortran-ordered copy of ``gram`` with ``nugget`` added to its diagonal."""
+    out = np.array(gram, order="F")
+    out[np.diag_indices_from(out)] += nugget
+    return out
+
+
+def _cho_shifted(gram: np.ndarray, nugget: float):
+    """Upper Cholesky factor of gram + nugget I, made in place on its own copy."""
+    return scipy.linalg.cho_factor(_shifted(gram, nugget), overwrite_a=True,
+                                   check_finite=False)
+
+
 class ExactPosterior:
     """Factorized training block of a dense kernel, ready to predict.
 
     ``block``, ``train_block(kernel, train_idx, y_train)`` formed beforehand,
-    replaces ``y_train``; it is copied, never changed.
+    replaces ``y_train``; it is copied, never changed, and not checked again.
     """
 
     def __init__(self, kernel: np.ndarray, train_idx: np.ndarray,
@@ -124,16 +144,16 @@ class ExactPosterior:
             raise ValueError("nugget must be nonnegative")
         kernel = np.asarray(kernel, dtype=np.float64)
         train_idx = np.asarray(train_idx, dtype=np.int64)
-        kbb, y = _given_or_own(kernel, train_idx, y_train, block, train_idx.size)
-        kbb = kbb.copy()
-        kbb[np.diag_indices_from(kbb)] += nugget
+        gram, y = _given_or_own(kernel, train_idx, y_train, block, train_idx.size)
         try:
-            factor = scipy.linalg.cho_factor(kbb)
+            factor = _cho_shifted(gram, nugget)
         except scipy.linalg.LinAlgError:
+            # the failed factorization overwrote its copy: start again from gram
+            kbb = _shifted(gram, nugget)
             jitter = JITTER_REL * np.trace(kbb) / kbb.shape[0]
             kbb[np.diag_indices_from(kbb)] += jitter
             try:
-                factor = scipy.linalg.cho_factor(kbb)
+                factor = scipy.linalg.cho_factor(kbb, check_finite=False)
             except scipy.linalg.LinAlgError as err:
                 cond = np.linalg.cond(kbb)
                 raise FactorizationError(
@@ -143,18 +163,21 @@ class ExactPosterior:
         self.kernel = kernel
         self.train_idx = train_idx
         self.nugget = float(nugget)
-        self._coef = scipy.linalg.cho_solve(factor, y)
+        self._coef = scipy.linalg.cho_solve(factor, y, check_finite=False)
+
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        """K[idx, train], which ``mean`` multiplies the coefficients by."""
+        return self.kernel[np.ix_(np.asarray(idx, dtype=np.int64), self.train_idx)]
 
     def mean(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        return self.kernel[np.ix_(idx, self.train_idx)] @ self._coef
+        return self._rows(idx) @ self._coef
 
 
 class LowRankPosterior:
     """Factorized r x r training Gram of a low-rank kernel factor.
 
     ``block``, ``train_block(factor, train_idx, y_train)`` formed beforehand,
-    replaces ``y_train``; it is copied, never changed.
+    replaces ``y_train``; it is copied, never changed, and not checked again.
     """
 
     def __init__(self, factor: LowRankFactor, train_idx: np.ndarray,
@@ -162,16 +185,17 @@ class LowRankPosterior:
         if nugget <= 0:
             raise ValueError("low-rank posterior needs a positive nugget")
         gram, qty = _given_or_own(factor, train_idx, y_train, block, factor.rank)
-        gram = gram.copy()
-        gram[np.diag_indices_from(gram)] += nugget
         self.factor = factor
         self.nugget = float(nugget)
-        self._cho = scipy.linalg.cho_factor(gram)
-        self._coef = scipy.linalg.cho_solve(self._cho, qty)
+        self._cho = _cho_shifted(gram, nugget)
+        self._coef = scipy.linalg.cho_solve(self._cho, qty, check_finite=False)
+
+    def _rows(self, idx: np.ndarray) -> np.ndarray:
+        """Q[idx], which ``mean`` multiplies the coefficients by."""
+        return self.factor.q[np.asarray(idx, dtype=np.int64)]
 
     def mean(self, idx: np.ndarray) -> np.ndarray:
-        idx = np.asarray(idx, dtype=np.int64)
-        return self.factor.q[idx] @ self._coef
+        return self._rows(idx) @ self._coef
 
     def variance(self, idx: np.ndarray) -> np.ndarray:
         """Predictive variance diag; tiny negative roundoff clamps to zero."""
@@ -262,9 +286,10 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
     ``targets`` covers all nodes; the search fits on the train split and
     scores on the validation split with Micro-F1 or R^2.  A constant
     regression validation target makes R^2 undefined, in which case the
-    fit at the smallest candidate is returned under a warning.  Returns the
-    winning fit (its nugget is ``fit.nugget``) together with the
-    (nugget, validation score) trace.
+    fit at the smallest candidate is returned under a warning.  Every fit
+    scores as its ``mean`` on the validation split, from rows gathered
+    once.  Returns the winning fit (its nugget is ``fit.nugget``) together
+    with the (nugget, validation score) trace.
     """
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
@@ -290,11 +315,12 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
         )
         return fit_at(grid[0]), [(float(grid[0]), float("nan"))]
 
-    best, best_score = None, -np.inf
+    best, best_score, rows = None, -np.inf, None
     trace: List[tuple] = []
     for eps in grid:
         fit = fit_at(eps)
-        _, score = score_mean(fit.mean(split.val), truth_val, classes)
+        rows = fit._rows(split.val) if rows is None else rows  # the same for every fit
+        _, score = score_mean(rows @ fit._coef, truth_val, classes)
         trace.append((float(eps), float(score)))
         if score > best_score:  # strict: equal scores keep the smaller eps
             best, best_score = fit, score

@@ -24,8 +24,14 @@ its input, its output and (GraphConv only) the product A K at its peak,
 plus tile buffers; no other N x N temporary.  Run one after the other with
 the caller dropping each input, a dense layer peaks near 3 N x N arrays.
 The low-rank activation writes the ReLU expectation over the N x r
-landmark columns in place.  Tiling changes no operation or its order, so
-the results are bit for bit those of the untiled expressions.
+landmark columns in place.
+
+Passes: the dense ReLU expectation computes only the tiles on and above
+the diagonal and mirrors them below it; a unit Weight and a zero Bias
+return their input itself on both paths.  Tiling and mirroring change no
+operation on any element, nor their order, so for a bitwise-symmetric
+input (every kernel this package builds) the results are bit for bit
+those of the untiled full-matrix expressions.
 """
 
 from __future__ import annotations
@@ -253,14 +259,16 @@ def _tile_rows(n_cols: int) -> int:
 
 
 def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
+                out: np.ndarray, symmetric: bool = False) -> np.ndarray:
     """ReLU expectation of the columns K[:, idx], given K's diagonal ``d``.
 
     Writes into ``out`` (which may be ``k_cols`` itself) row tile by row
     tile and returns it.  A node with variance at or below VAR_FLOOR_REL *
     max(d) has no signal to propagate and gets zero rows and columns; each
     node's entry with itself, out[idx[j], j], is exactly half its variance
-    (arccos would round).  The dense path passes ``idx = arange(N)``.
+    (arccos would round).  The dense path passes ``idx = arange(N)`` and
+    ``symmetric``: each row tile then starts at the diagonal, so only the
+    upper triangle of ``k_cols`` is read, and is mirrored below it.
     """
     var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
     d_cols = d[idx]
@@ -271,9 +279,10 @@ def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
     rows = _tile_rows(sc.size)
     for r0 in range(0, sr.size, rows):
         r1 = r0 + rows
-        rho = out[r0:r1]
-        denom = np.outer(sr[r0:r1], sc)
-        np.divide(k_cols[r0:r1], denom, out=rho)
+        c0 = r0 if symmetric else 0
+        rho = out[r0:r1, c0:]
+        denom = np.outer(sr[r0:r1], sc[c0:])
+        np.divide(k_cols[r0:r1, c0:], denom, out=rho)
         np.clip(rho, -1.0, 1.0, out=rho)
         t = np.arccos(rho)
         sin_t = np.sin(t)
@@ -282,6 +291,8 @@ def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
         t += sin_t
         denom *= 0.5 / np.pi
         np.multiply(denom, t, out=rho)
+        if symmetric:
+            out[r1:, r0:r1] = out[r0:r1, r1:].T
     if not alive_r.all():
         out[~alive_r, :] = 0.0
     if not alive_c.all():
@@ -295,13 +306,15 @@ def relu_expectation(k: np.ndarray) -> np.ndarray:
 
     The diagonal of the result is exactly half the input diagonal, and nodes
     with vanishing variance get zero rows and columns (see ``_relu_gauss``).
+    It reads the upper triangle of ``k``, in row tiles that start at the
+    diagonal, and mirrors the result below it, so ``k`` must be symmetric.
     Besides ``k`` and the result, only row-tile buffers are allocated.
     """
     k = np.asarray(k, dtype=np.float64)
     if k.ndim != 2 or k.shape[0] != k.shape[1]:
         raise ValueError("kernel must be square")
     d = np.maximum(k.diagonal(), 0.0)
-    return _relu_gauss(k, d, np.arange(d.size), np.empty(k.shape))
+    return _relu_gauss(k, d, np.arange(d.size), np.empty(k.shape), symmetric=True)
 
 
 def _graph_conv(m, k: np.ndarray) -> np.ndarray:
@@ -368,11 +381,14 @@ def chol_factor(c_cols: np.ndarray, c_landmark: np.ndarray) -> LowRankFactor:
 
 
 def apply_block_exact(k: np.ndarray, block: Block) -> np.ndarray:
-    """One building block on the dense path."""
+    """One building block on the dense path; never changes ``k``.
+
+    A zero bias or a unit weight returns ``k`` itself.
+    """
     if isinstance(block, Bias):
-        return k + block.sigma_b**2
+        return k if block.sigma_b == 0.0 else k + block.sigma_b**2
     if isinstance(block, Weight):
-        return block.sigma_w**2 * k
+        return k if block.sigma_w == 1.0 else block.sigma_w**2 * k
     if isinstance(block, MixedWeight):
         return block.scale_sq * k
     if isinstance(block, GraphConv):
@@ -400,7 +416,8 @@ def apply_block_lowrank(
 
     Only the activation needs the landmark set: it evaluates the ReLU
     expectation on the landmark columns of Q Q^T and re-factors.  A zero
-    bias leaves the factor untouched instead of appending a zero column.
+    bias leaves the factor untouched instead of appending a zero column,
+    and a unit weight returns it too.  Never changes ``factor``.
     """
     if isinstance(block, Bias):
         if block.sigma_b == 0.0:
@@ -408,7 +425,7 @@ def apply_block_lowrank(
         col = np.full((factor.n, 1), block.sigma_b)
         return LowRankFactor(np.hstack([factor.q, col]))
     if isinstance(block, Weight):
-        return LowRankFactor(block.sigma_w * factor.q)
+        return factor if block.sigma_w == 1.0 else LowRankFactor(block.sigma_w * factor.q)
     if isinstance(block, MixedWeight):
         return LowRankFactor(np.sqrt(block.scale_sq) * factor.q)
     if isinstance(block, GraphConv):

@@ -78,6 +78,11 @@ def _min_correlation(k: np.ndarray) -> float:
 
 
 def _top2_ratio(k: np.ndarray) -> float:
+    """Second over first singular value of K; nan for a zero or 1 x 1 K.
+
+    A ratio near 1e-11 carries only about 5 significant digits: the
+    smaller singular value is then at the rounding level of the larger.
+    """
     scale = np.abs(k).max()
     if scale == 0 or k.shape[0] < 2:
         return float("nan")

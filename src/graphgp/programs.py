@@ -184,7 +184,11 @@ def _drive(program: KernelProgram, rep0, apply: Callable,
 
 def run_exact(program: KernelProgram, k0: np.ndarray,
               on_layer: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
-    """Final dense kernel K^(depth); ``on_layer(l, K^(l))`` sees every layer."""
+    """Final dense kernel K^(depth); ``on_layer(l, K^(l))`` sees every layer.
+
+    A unit weight and a zero bias pass their input on, so mlp at depth 1
+    with sigma_w = 1 and sigma_b = 0 returns ``k0`` itself.
+    """
     k0 = np.asarray(k0, dtype=np.float64)
     if k0.shape != (program.a.n_nodes, program.a.n_nodes):
         raise ValueError(

@@ -14,7 +14,8 @@ from graphgp import (
     one_hot_targets,
     r2,
 )
-from graphgp.inference import train_block
+from graphgp import inference
+from graphgp.inference import fit_posterior, score_mean, train_block, training_targets
 
 
 def test_split_indices_validation():
@@ -322,3 +323,101 @@ def test_nugget_search_returns_the_winning_fit(task, lowrank):
     assert np.array_equal(fit.mean(everyone), fresh.mean(everyone))
     if lowrank:
         assert np.array_equal(fit.variance(everyone), fresh.variance(everyone))
+
+
+# ---------------------------------------------------------------------------
+# finiteness is checked once, in train_block; fits factor their own copies
+
+
+def _nan_problem(lowrank, task, row):
+    """30-node problem with a NaN in the kernel (or factor) row of ``row``."""
+    rng = np.random.default_rng(8)
+    q = rng.normal(size=(30, 5))
+    split = SplitIndices(np.arange(14), np.arange(14, 22), np.arange(22, 30))
+    if task == "classification":
+        targets = (q[:, 0] > 0).astype(np.int64)
+    else:
+        targets = q[:, 1] + 0.1 * rng.normal(size=30)
+    if lowrank:
+        q[row, 2] = np.nan
+        return LowRankFactor(q), split, targets
+    k = q @ q.T
+    k[row, 4] = k[4, row] = np.nan
+    return k, split, targets
+
+
+def _raised_in_train_block(excinfo):
+    return any(entry.name == "train_block" for entry in excinfo.traceback)
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+@pytest.mark.parametrize("task", ["classification", "regression"])
+def test_nan_in_the_training_system_raises_in_train_block(lowrank, task):
+    rep, split, targets = _nan_problem(lowrank, task, row=3)
+    with pytest.raises(ValueError, match="infs or NaNs") as excinfo:
+        nugget_search(rep, split, targets, task=task)
+    assert _raised_in_train_block(excinfo)
+    y, _ = training_targets(targets, split.train, task)
+    with pytest.raises(ValueError, match="infs or NaNs") as excinfo:
+        fit_posterior(rep, split.train, y, 0.1)
+    assert _raised_in_train_block(excinfo)
+    rep, split, targets = _nan_problem(lowrank, "regression", row=25)
+    targets[split.train[5]] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs") as excinfo:
+        nugget_search(rep, split, targets, task="regression")
+    assert _raised_in_train_block(excinfo)
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("row", [15, 25])  # a validation node, a test node
+def test_nan_outside_the_training_block_scores_as_fresh_fits(lowrank, task, row):
+    # the search scores each point as a fresh fit's mean on the validation
+    # split would, NaN rows included
+    rep, split, targets = _nan_problem(lowrank, task, row)
+    fit, trace = nugget_search(rep, split, targets, task=task)
+    y, classes = training_targets(targets, split.train, task)
+    best, best_score = None, -np.inf
+    for eps, score in trace:
+        fresh = fit_posterior(rep, split.train, y, eps)
+        _, fresh_score = score_mean(fresh.mean(split.val), targets[split.val], classes)
+        assert np.array_equal(score, fresh_score, equal_nan=True)
+        if fresh_score > best_score:
+            best, best_score = fresh, fresh_score
+    assert [e for e, _ in trace] == list(default_nugget_grid())
+    if best is None:
+        assert fit is None
+    else:
+        everyone = np.arange(30)
+        assert fit.nugget == best.nugget
+        assert np.array_equal(fit.mean(everyone), best.mean(everyone), equal_nan=True)
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+def test_search_leaves_its_training_block_unchanged(monkeypatch, lowrank):
+    # rank 3 over 14 training nodes: at nugget 0 the dense factorization
+    # fails in place and the jitter retry must start again from the block
+    made = []
+
+    def recording(*args):
+        block = train_block(*args)
+        made.append((block, [part.copy() for part in block]))
+        return block
+
+    monkeypatch.setattr(inference, "train_block", recording)
+    rng = np.random.default_rng(2)
+    q = rng.normal(size=(30, 3))
+    split = SplitIndices(np.arange(14), np.arange(14, 22), np.arange(22, 30))
+    targets = (q[:, 0] > 0).astype(np.int64)
+    rep = LowRankFactor(q) if lowrank else q @ q.T
+    grid = np.array([1e-3, 0.1]) if lowrank else np.array([0.0, 1e-3, 0.1])
+    if not lowrank:
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(rep[np.ix_(split.train, split.train)])
+    fit, trace = nugget_search(rep, split, targets, grid=grid)
+    (block, before), = made
+    assert all(np.array_equal(a, b) for a, b in zip(block, before))
+    assert [e for e, _ in trace] == list(grid)
+    y, _ = training_targets(targets, split.train, "classification")
+    fresh = fit_posterior(rep, split.train, y, fit.nugget)
+    assert np.array_equal(fit.mean(np.arange(30)), fresh.mean(np.arange(30)))

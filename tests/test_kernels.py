@@ -365,3 +365,73 @@ def test_tiled_graphconv_matches_untiled(monkeypatch, operator):
     got = apply_block_exact(k, GraphConv(a))
     assert_close(got, ref)
     assert np.array_equal(got, got.T)
+
+
+# ---------------------------------------------------------------------------
+# passes: the dense ReLU expectation fills the upper tiles and mirrors them;
+# identity blocks hand back their input
+
+
+def full_matrix_relu(k):
+    """The dense ReLU expectation as the whole-matrix expression it replaced."""
+    d = np.maximum(k.diagonal(), 0.0)
+    floor = kernels.VAR_FLOOR_REL * d.max()
+    c = untiled_relu_gauss(k, d, d, floor)
+    np.fill_diagonal(c, np.where(d > floor, 0.5 * d, 0.0))
+    return c
+
+
+def symmetric_kernels(n, dead):
+    """Bitwise-symmetric kernels as the package builds them, with dead nodes."""
+    x = np.random.default_rng(n).normal(size=(n, 6))
+    x[dead] = 0.0
+    k = base_inner(x)
+    yield k
+    yield base_rbf(x, gamma=0.2)
+    yield apply_block_exact(k, GraphConv(sym_operator(n, extra=n // 2, seed=3)))
+
+
+@pytest.mark.parametrize("n, tile_rows, dead", [
+    (40, 40, [5, 6, 33]),     # one tile
+    (53, 3, [0, 17, 52]),     # 17 tiles of 3 rows, then 2
+    (53, 4, [3, 4, 11, 12]),  # dead nodes on both sides of tile edges
+    (29, 1, [0, 28]),         # one-row tiles
+])
+def test_relu_expectation_is_the_full_matrix_expression(monkeypatch, n, tile_rows, dead):
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", tile_rows * n)
+    for k in symmetric_kernels(n, dead):
+        assert np.array_equal(k, k.T)
+        before = k.copy()
+        got = relu_expectation(k)
+        assert np.array_equal(got, full_matrix_relu(k))
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(k, before)
+
+
+def test_blocks_never_change_their_input():
+    rng = np.random.default_rng(12)
+    n = 9
+    q = LowRankFactor(rng.normal(size=(n, 3)))
+    other = LowRankFactor(rng.normal(size=(n, 2)))
+    k = q.gram()
+    landmarks = LandmarkSet(np.array([0, 4, 7]))
+    shared = [Bias(0.0), Bias(0.7), Weight(1.0), Weight(1.3), MixedWeight(0.8, 0.5, 1.1),
+              GraphConv(sym_operator(n, extra=3, seed=1)), Activation()]
+    pairs = [(b, b) for b in shared] + [(IndependentAdd(other.gram()), IndependentAdd(other))]
+    for exact_block, lowrank_block in pairs:
+        k_before, q_before = k.copy(), q.q.copy()
+        apply_block_exact(k, exact_block)
+        apply_block_lowrank(q, lowrank_block, landmarks)
+        assert np.array_equal(k, k_before), exact_block
+        assert np.array_equal(q.q, q_before), lowrank_block
+
+
+def test_identity_blocks_return_their_input():
+    k = random_psd(6, 3)
+    q = LowRankFactor(np.random.default_rng(3).normal(size=(6, 2)))
+    for block in (Weight(1.0), Bias(0.0)):
+        assert apply_block_exact(k, block) is k
+        assert apply_block_lowrank(q, block) is q
+    assert apply_block_exact(k, Weight(1.5)) is not k
+    assert apply_block_exact(k, Bias(0.5)) is not k
+    assert apply_block_lowrank(q, Weight(1.5)) is not q
