@@ -35,8 +35,12 @@ GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "data", "fixture_report
 GOLDEN_RUNS = (
     *(("infer", "--arch", arch) for arch in ARCH_CHOICES),
     ("infer", "--arch", "gcn", "--path", "lowrank"),
+    ("infer", "--nugget", "0.1"),
+    ("infer", "--path", "lowrank", "--nugget", "0.1"),
+    ("infer", "--arch", "rbf", "--nugget", "0.1"),
     ("depth-scan", "--arch", "gcn", "--layers", "12"),
     ("depth-scan", "--arch", "mlp", "--layers", "12"),
+    ("depth-scan", "--arch", "gcn", "--layers", "4", "--nugget", "0.1"),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
