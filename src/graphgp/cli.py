@@ -94,7 +94,6 @@ _FIELD_PARSERS = {
     "gamma": float,
     "poly_c": float,
     "poly_d": float,
-    "landmark_frac": float,
     "nugget": float,
     "degree": float,
     "center": _parse_bool,
@@ -141,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="INI file; values read from its [infer] section")
     _add(p, "dataset", "arch", "path", "layers", "sigma_b", "sigma_w", "sigma_w1",
          "sigma_w2", "alpha", "decay", "base", "gamma", "poly_c", "poly_d",
-         "landmarks", "landmark_frac", "seed", "nugget", "nugget_grid", "pca",
+         "landmarks", "seed", "nugget", "nugget_grid", "pca",
          "center", "out")
 
     p = sub.add_parser("depth-scan", help="layer-by-layer limit diagnostics")

@@ -284,12 +284,12 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
     """Validation grid search for the nugget; ties go to the smaller value.
 
     ``targets`` covers all nodes; the search fits on the train split and
-    scores on the validation split with Micro-F1 or R^2.  A constant
-    regression validation target makes R^2 undefined, in which case the
-    fit at the smallest candidate is returned under a warning.  Every fit
-    scores as its ``mean`` on the validation split, from rows gathered
-    once.  Returns the winning fit (its nugget is ``fit.nugget``) together
-    with the (nugget, validation score) trace.
+    scores each fit's ``mean`` on the validation split, from rows gathered
+    once, by Micro-F1 or R^2.  Returns the winning fit (its nugget is
+    ``fit.nugget``) and the (nugget, validation score) trace.  Under a
+    RuntimeWarning, a constant regression validation target (R^2 undefined)
+    fits only the smallest candidate, and a search with no finite score (a
+    NaN in a validation row, say) returns its first fit, at that candidate.
     """
     if task not in ("classification", "regression"):
         raise ValueError(f"unknown task {task!r}")
@@ -315,13 +315,17 @@ def nugget_search(kernel_or_factor, split: SplitIndices, targets: np.ndarray,
         )
         return fit_at(grid[0]), [(float(grid[0]), float("nan"))]
 
-    best, best_score, rows = None, -np.inf, None
+    best_score, rows = -np.inf, None
     trace: List[tuple] = []
     for eps in grid:
         fit = fit_at(eps)
-        rows = fit._rows(split.val) if rows is None else rows  # the same for every fit
+        if rows is None:  # the first fit is the fallback; its rows serve every fit
+            best, rows = fit, fit._rows(split.val)
         _, score = score_mean(rows @ fit._coef, truth_val, classes)
         trace.append((float(eps), float(score)))
         if score > best_score:  # strict: equal scores keep the smaller eps
             best, best_score = fit, score
+    if best_score == -np.inf:
+        warnings.warn("no validation score is finite; falling back to the smallest nugget",
+                      RuntimeWarning)
     return best, trace

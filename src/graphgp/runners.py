@@ -30,7 +30,6 @@ from .datasets import (
 from .finite_width import McConfig, compare_covariance, sample_covariance
 from .inference import (
     default_nugget_grid,
-    fit_posterior,
     nugget_search,
     score_mean,
     training_targets,
@@ -80,7 +79,6 @@ class RunConfig:
     poly_c: float = 5.0
     poly_d: float = 3.0
     landmarks: Optional[int] = None
-    landmark_frac: Optional[float] = None
     seed: int = 0
     nugget: Optional[float] = None
     nugget_grid: tuple = (1e-3, 10.0, 13)
@@ -103,8 +101,6 @@ class RunConfig:
             raise ValueError("layers must be positive")
         if self.landmarks is not None and self.landmarks < 1:
             raise ValueError("landmarks must be positive")
-        if self.landmark_frac is not None and not 0 < self.landmark_frac <= 1:
-            raise ValueError("landmark-frac must be in (0, 1]")
         if self.nugget is not None and self.nugget <= 0:
             raise ValueError("nugget must be positive")
         lo, hi, count = self.nugget_grid
@@ -148,6 +144,9 @@ def _operator_for(arch: str, ds: Dataset):
 
 
 def _search_grid(cfg: RunConfig) -> np.ndarray:
+    """``[cfg.nugget]`` when ``--nugget`` fixes it, a one-point search; else the grid."""
+    if cfg.nugget is not None:
+        return np.asarray([cfg.nugget])
     lo, hi, count = cfg.nugget_grid
     return default_nugget_grid(lo, hi, int(count))
 
@@ -170,7 +169,13 @@ def _base_callable(cfg: RunConfig, gamma: Optional[float]):
 
 def _program_for(cfg: RunConfig, a, sigma_b: float) -> KernelProgram:
     """The run's layered program, built from (and so validating) every
-    hyperparameter of ``cfg``; only gcnii gets a beta schedule."""
+    hyperparameter of ``cfg``; only gcnii gets a beta schedule.  The one
+    place a run rejects ggp and rbf, which have no layered program."""
+    if cfg.arch not in ARCHITECTURES:
+        raise ValueError(
+            f"this command runs the layered architectures {', '.join(ARCHITECTURES)}, "
+            f"not {cfg.arch!r}"
+        )
     betas = gcnii_beta_schedule(cfg.layers, cfg.decay) if cfg.arch == "gcnii" else ()
     return KernelProgram(
         cfg.arch, a, cfg.layers, sigma_b=sigma_b, sigma_w=cfg.sigma_w, alpha=cfg.alpha,
@@ -179,18 +184,12 @@ def _program_for(cfg: RunConfig, a, sigma_b: float) -> KernelProgram:
 
 
 def _pick_landmarks(cfg: RunConfig, train_idx: np.ndarray, n_nodes: int) -> LandmarkSet:
-    """Default: the training indices.  With an explicit count or fraction,
-    a seeded uniform draw over all nodes (features carry no labels, so
-    landmark choice is transductive)."""
-    if cfg.landmarks is None and cfg.landmark_frac is None:
+    """Default: the training indices.  With ``--landmarks``, a seeded uniform
+    draw over all nodes (features carry no labels, so landmark choice is
+    transductive); ``LandmarkSet.draw`` rejects more than the node count."""
+    if cfg.landmarks is None:
         return LandmarkSet(np.sort(np.asarray(train_idx, dtype=np.int64)))
-    if cfg.landmarks is not None:
-        count = cfg.landmarks
-    else:
-        count = max(1, int(round(cfg.landmark_frac * n_nodes)))
-    if count > n_nodes:
-        raise ValueError(f"asked for {count} landmarks but the graph has {n_nodes} nodes")
-    return LandmarkSet.draw(np.arange(n_nodes, dtype=np.int64), count, cfg.seed)
+    return LandmarkSet.draw(np.arange(n_nodes, dtype=np.int64), cfg.landmarks, cfg.seed)
 
 
 def _preprocess(cfg: RunConfig, ds: Dataset, landmark_count: Optional[int]) -> np.ndarray:
@@ -280,24 +279,14 @@ def run_infer(cfg: RunConfig) -> Report:
         gamma_candidates = GAMMA_GRID
     else:
         gamma_candidates = (cfg.gamma,)
-    grid = None if cfg.nugget is not None else _search_grid(cfg)
 
     best = None
     search_rows = []
     for gamma in gamma_candidates:
         with phases.phase("kernel_build"):
             rep = _build_representation(cfg, a, feats, sigma_b, landmarks, gamma)
-        if grid is None and len(gamma_candidates) == 1:
-            y_train, _ = training_targets(ds.targets, ds.splits.train, task)
-            with phases.phase("solve"):
-                best = (fit_posterior(rep, ds.splits.train, y_train, cfg.nugget), gamma, None)
-            break
         with phases.phase("nugget_search"):
-            fit, trace = nugget_search(
-                rep, ds.splits, ds.targets,
-                grid if grid is not None else np.asarray([cfg.nugget]),
-                task,
-            )
+            fit, trace = nugget_search(rep, ds.splits, ds.targets, _search_grid(cfg), task)
         for eps_i, score_i in trace:
             search_rows.append((gamma, eps_i, score_i))
         score = max(s for _, s in trace)
@@ -334,18 +323,17 @@ def run_infer(cfg: RunConfig) -> Report:
         report.set(f"{metric_name}_{name}", float(metrics[name]))
 
     t = report.table("timing", ("phase", "seconds"))
-    for name in ("kernel_build", "nugget_search", "solve", "predict"):
+    for name in ("kernel_build", "nugget_search", "predict"):
         t.add(name, phases.seconds.get(name, 0.0))
 
-    if search_rows:
-        if cfg.arch == "rbf" and len(gamma_candidates) > 1:
-            t = report.table("hyper_search", ("gamma", "nugget", "val_score"))
-            for row in search_rows:
-                t.add(float(row[0]), row[1], row[2])
-        else:
-            t = report.table("nugget_search", ("nugget", "val_score"))
-            for row in search_rows:
-                t.add(row[1], row[2])
+    if len(gamma_candidates) > 1:
+        t = report.table("hyper_search", ("gamma", "nugget", "val_score"))
+        for row in search_rows:
+            t.add(float(row[0]), row[1], row[2])
+    elif cfg.nugget is None:
+        t = report.table("nugget_search", ("nugget", "val_score"))
+        for row in search_rows:
+            t.add(row[1], row[2])
 
     header = ["node", "truth", "prediction"]
     if variance is not None:
@@ -369,10 +357,9 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     task = ds.task
     sigma_b = _default_sigma_b(cfg, task)
     feats = _preprocess(cfg, ds, None)
-    if cfg.arch in ("ggp", "rbf"):
-        raise ValueError(f"depth-scan needs a layered architecture, not {cfg.arch!r}")
+    program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
     k0 = _base_callable(cfg, cfg.gamma)(feats)
-    grid = np.asarray([cfg.nugget]) if cfg.nugget is not None else _search_grid(cfg)
+    grid = _search_grid(cfg)
 
     report = Report("depth-scan")
     report.set("dataset", ds.name)
@@ -381,7 +368,6 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     report.set("arch", cfg.arch)
     report.set("layers", cfg.layers)
     _report_hyperparameters(report, cfg, sigma_b)
-    program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
 
     if cfg.arch == "mlp":
         result = mlp_fixed_point(program.sigma_b, program.sigma_w, k0, program.depth)
@@ -423,8 +409,6 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     cfg.validate()
     if cfg.dataset is None:
         raise ValueError("mc-verify needs --dataset")
-    if cfg.arch in ("ggp", "rbf"):
-        raise ValueError(f"mc-verify covers the layered architectures, not {cfg.arch!r}")
     if cfg.base != "inner":
         raise ValueError("the finite-width surrogate feeds raw features; base must be inner")
     ds = load_dataset(cfg.dataset)
@@ -456,11 +440,6 @@ def run_benchmark(cfg: RunConfig) -> Report:
         )
     if cfg.repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {cfg.repeats}")
-    if cfg.arch not in ARCHITECTURES:
-        raise ValueError(
-            f"benchmark times the layered architectures {', '.join(ARCHITECTURES)}, "
-            f"not {cfg.arch!r}"
-        )
     n_landmarks = cfg.landmarks if cfg.landmarks is not None else 128
     cases = []
     for n in cfg.sizes:

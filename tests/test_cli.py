@@ -174,7 +174,8 @@ def test_infer_predicts_as_the_library_pipeline(path, tmp_path, capsys):
 @pytest.mark.parametrize("path", ["exact", "lowrank"])
 def test_infer_fits_once_per_grid_point_and_never_refits(path, capsys, monkeypatch):
     # a searched infer constructs one posterior per grid point, all inside
-    # nugget_search, and predicts from the winner; --nugget constructs one
+    # nugget_search, and predicts from the winner; --nugget is a one-point
+    # search, so it constructs one posterior, inside nugget_search too
     inside, made = [], []
     for cls in (ExactPosterior, LowRankPosterior):
         def counted(self, *args, _init=cls.__init__, **kwargs):
@@ -195,7 +196,25 @@ def test_infer_fits_once_per_grid_point_and_never_refits(path, capsys, monkeypat
     assert made == [True] * 13
     made.clear()
     assert run_cli(capsys, *args, "--nugget", "0.5")[0] == 0
-    assert made == [False]
+    assert made == [True]
+
+
+@pytest.mark.parametrize("flags", [(), ("--nugget", "0.1")], ids=["searched", "fixed"])
+def test_infer_without_a_finite_validation_score_reports(flags, tmp_path, capsys):
+    # a NaN feature on a validation node makes its rbf kernel row NaN, so
+    # every validation R^2 is NaN; the run warns and reports the fit at the
+    # smallest candidate instead of failing
+    ds = synthetic_dataset(60, seed=3)
+    ds.features[ds.splits.val[0], 0] = np.nan
+    save_dataset(ds, str(tmp_path / "ds"))
+    with pytest.warns(RuntimeWarning, match="no validation score is finite"):
+        code, out, err = run_cli(capsys, "infer", "--dataset", str(tmp_path / "ds"),
+                                 "--arch", "rbf", "--gamma", "0.5", *flags)
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert "r2_val: nan" in lines
+    assert f"nugget: {flags[1] if flags else '0.001'}" in lines
+    assert ("[nugget_search]" in lines) == (not flags)
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
@@ -376,20 +395,26 @@ def test_benchmark_needs_a_repeat(capsys):
     assert "repeats must be at least 1" in err
 
 
-def test_benchmark_times_the_chosen_arch(capsys):
-    code, out, _ = run_cli(
-        capsys, "benchmark", "--arch", "mlp", "--sizes", "100,200", "--landmarks", "16",
-        "--repeats", "1",
-    )
-    assert code == 0
-    assert "arch: mlp" in out.splitlines()
+@pytest.mark.parametrize("command", ["benchmark", "depth-scan", "mc-verify"])
+def test_benchmark_times_the_chosen_arch(command, capsys):
+    # the commands that run a layered program reject ggp and rbf alike
+    if command == "benchmark":
+        code, out, _ = run_cli(
+            capsys, "benchmark", "--arch", "mlp", "--sizes", "100,200", "--landmarks", "16",
+            "--repeats", "1",
+        )
+        assert code == 0
+        assert "arch: mlp" in out.splitlines()
+    flags = ("--repeats", "1") if command == "benchmark" else ("--dataset", FIXTURE_DIR)
     for arch in ("ggp", "rbf"):
-        with pytest.raises(ValueError, match="architectures gcn, gcnii, gin, sage, mlp"):
-            run_benchmark(RunConfig(arch=arch, sizes=(100, 200), landmarks=16, repeats=1))
-        code, out, err = run_cli(capsys, "benchmark", "--arch", arch, "--repeats", "1")
+        if command == "benchmark":
+            with pytest.raises(ValueError, match="architectures gcn, gcnii, gin, sage, mlp"):
+                run_benchmark(RunConfig(arch=arch, sizes=(100, 200), landmarks=16, repeats=1))
+        code, out, err = run_cli(capsys, command, "--arch", arch, *flags)
         assert code == 1
         assert out == ""
-        assert f"not {arch!r}" in err
+        assert (f"this command runs the layered architectures gcn, gcnii, gin, sage, mlp, "
+                f"not {arch!r}") in err
 
 
 def test_single_class_dataset_runs(tmp_path, capsys):
@@ -416,8 +441,10 @@ def test_single_class_dataset_runs(tmp_path, capsys):
     (("infer", "--arch", "sage", "--sigma-w", "-1"), "sigma parameters must be nonnegative"),
     (("infer", "--arch", "gcnii", "--sigma-b", "-1"), "sigma parameters must be nonnegative"),
     (("depth-scan", "--arch", "mlp", "--alpha", "2"), "alpha must be in [0, 1]"),
+    (("infer", "--path", "lowrank", "--landmarks", "5"),
+     "cannot draw 5 landmarks from a pool of 4"),
 ], ids=["alpha-above-one", "alpha-below-zero", "decay-minus-two", "decay-minus-one",
-        "sage-sigma-w", "gcnii-sigma-b", "depth-scan-mlp-alpha"])
+        "sage-sigma-w", "gcnii-sigma-b", "depth-scan-mlp-alpha", "too-many-landmarks"])
 def test_invalid_hyperparameters_are_rejected(args, message, capsys):
     code, out, err = run_cli(capsys, *args, "--dataset", FIXTURE_DIR)
     assert (code, out) == (1, "")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -375,7 +377,9 @@ def test_nan_outside_the_training_block_scores_as_fresh_fits(lowrank, task, row)
     # the search scores each point as a fresh fit's mean on the validation
     # split would, NaN rows included
     rep, split, targets = _nan_problem(lowrank, task, row)
-    fit, trace = nugget_search(rep, split, targets, task=task)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit, trace = nugget_search(rep, split, targets, task=task)
     y, classes = training_targets(targets, split.train, task)
     best, best_score = None, -np.inf
     for eps, score in trace:
@@ -385,12 +389,38 @@ def test_nan_outside_the_training_block_scores_as_fresh_fits(lowrank, task, row)
         if fresh_score > best_score:
             best, best_score = fresh, fresh_score
     assert [e for e, _ in trace] == list(default_nugget_grid())
-    if best is None:
-        assert fit is None
+    if best is None:  # no finite score: the smallest nugget, under a warning
+        best = fit_posterior(rep, split.train, y, trace[0][0])
+        assert [str(w.message) for w in caught] == [
+            "no validation score is finite; falling back to the smallest nugget"]
     else:
-        everyone = np.arange(30)
-        assert fit.nugget == best.nugget
-        assert np.array_equal(fit.mean(everyone), best.mean(everyone), equal_nan=True)
+        assert caught == []
+    everyone = np.arange(30)
+    assert fit.nugget == best.nugget
+    assert np.array_equal(fit.mean(everyone), best.mean(everyone), equal_nan=True)
+
+
+@pytest.mark.parametrize("lowrank", [False, True])
+@pytest.mark.parametrize("grid", [None, [0.1]], ids=["searched", "one-point"])
+def test_search_without_a_finite_score_keeps_its_first_fit(monkeypatch, lowrank, grid):
+    # a NaN in a validation row makes every R^2 NaN: the search warns and
+    # returns the fit it made at the smallest nugget, one fit per grid point
+    made = []
+
+    def counted(*args, _fit=inference.fit_posterior, **kwargs):
+        made.append(_fit(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(inference, "fit_posterior", counted)
+    rep, split, targets = _nan_problem(lowrank, "regression", row=15)
+    with pytest.warns(RuntimeWarning, match="no validation score is finite"):
+        fit, trace = nugget_search(rep, split, targets, grid, task="regression")
+    points = list(default_nugget_grid() if grid is None else grid)
+    assert [e for e, _ in trace] == points
+    assert np.all(np.isnan([s for _, s in trace]))
+    assert len(made) == len(points)
+    assert fit is made[0]
+    assert fit.nugget == points[0]
 
 
 @pytest.mark.parametrize("lowrank", [False, True])
