@@ -10,6 +10,9 @@ Subcommands:
 Values resolve in three tiers: built-in defaults, then the [section] of an
 INI file passed via --config (section name = subcommand), then explicit
 flags.  Config keys are flag names with hyphens replaced by underscores.
+
+A warning raised during a call prints as one stderr line, ``warning:
+<message>``, without the file and line that raised it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import argparse
 import configparser
 import dataclasses
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .adjacency import PowerIterationError
@@ -195,21 +199,33 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return dataclasses.replace(RunConfig(), **updates)
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    """``warning: <message>``, free of the source file and line that raised it."""
+    return f"warning: {message}\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Only the format changes, for the duration of the call: the filters
+    # (``-W error::RuntimeWarning``) and the display hook, which
+    # ``pytest.warns`` and ``catch_warnings(record=True)`` replace, stay.
+    previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
-        cfg = resolve_config(args)
-        report = COMMANDS[args.command](cfg)
-    except (ValueError, OSError, FactorizationError, PowerIterationError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    text = report.to_text()
-    sys.stdout.write(text)
-    if cfg.out:
-        report.write(cfg.out)
-        print(f"report written to {cfg.out}", file=sys.stderr)
-    return 0
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            cfg = resolve_config(args)
+            report = COMMANDS[args.command](cfg)
+        except (ValueError, OSError, FactorizationError, PowerIterationError) as err:
+            print(f"error: {err}", file=sys.stderr)
+            return 1
+        text = report.to_text()
+        sys.stdout.write(text)
+        if cfg.out:
+            report.write(cfg.out)
+            print(f"report written to {cfg.out}", file=sys.stderr)
+        return 0
+    finally:
+        warnings.formatwarning = previous
 
 
 if __name__ == "__main__":

@@ -8,7 +8,11 @@ Two representations run in parallel through every block:
 Each block maps (K -> K') and (Q -> Q') so that forming the Gram matrix of
 the low-rank output reproduces the exact rule; for the ReLU activation the
 low-rank rule is the Nystrom reconstruction through a landmark set, exact
-when the landmarks span the kernel's range.
+when the landmarks span the kernel's range.  The Nystrom factor comes from a
+pivoted Cholesky factorization of the landmark block (``chol_factor``), so
+its width is the block's numerical rank: at most the landmark count, and
+less when the block is rank-deficient, as it is for inner-product base
+features with fewer features than landmarks.
 
 The ReLU expectation uses the closed form
 
@@ -40,20 +44,28 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg import lapack
 from scipy.spatial.distance import cdist
 
 from .adjacency import SparseAdjacency
 
 # Variance below VAR_FLOOR_REL * max(diag) counts as a degenerate (zero) node.
 VAR_FLOOR_REL = 1e-12
-# Landmark-block eigenvalues below EIG_FLOOR_REL * lambda_max are clamped.
+# Pivot floor of the Nystrom factor: pivoted Cholesky of a landmark block
+# stops once the largest Schur-complement diagonal is at or below
+# EIG_FLOOR_REL * max(diag); the directions left are dropped, none clamped.
 EIG_FLOOR_REL = 1e-10
 # Entries per row tile of the dense ReLU expectation and GraphConv.
 _TILE_ELEMENTS = 2**18
 
 
 class FactorizationError(RuntimeError):
-    """Raised when a landmark block cannot be inverted even after clamping."""
+    """Raised when a landmark block or training block cannot be factored.
+
+    ``eigenvalue``, when set, is the landmark block's largest diagonal
+    entry, which is at most zero: no direction of the block lies above the
+    pivot floor.
+    """
 
     def __init__(self, message: str, eigenvalue: Optional[float] = None):
         super().__init__(message)
@@ -343,16 +355,20 @@ def _graph_conv(m, k: np.ndarray) -> np.ndarray:
 
 
 def chol_factor(c_cols: np.ndarray, c_landmark: np.ndarray) -> LowRankFactor:
-    """Factor P = C[:, a] C[a, a]^{-1/2} with P P^T the Nystrom reconstruction.
+    """Factor P = C[:, S] L^{-T} with P P^T the Nystrom reconstruction.
 
-    The inverse square root comes from a symmetric eigendecomposition;
-    eigenvalues below EIG_FLOOR_REL * lambda_max are clamped to that floor,
-    which keeps the factor finite when the landmark block is numerically
-    rank-deficient.  A block with no positive eigenvalue at all cannot be
-    factored and raises.
+    A pivoted Cholesky factorization (LAPACK ``dpstrf``) of the landmark
+    block picks the landmarks S one by one, each time the one with the
+    largest Schur-complement diagonal, and stops when that diagonal falls
+    to EIG_FLOOR_REL * max(diag C[a, a]) or below; C[S, S] = L L^T.  The
+    factor therefore has one column per numerically present direction,
+    its rank k, and no more: directions below the floor are dropped, not
+    clamped.  L^{-T}, scattered into the rows S of an r x k matrix M, turns
+    the product into one gemm, P = C[:, a] M.  A block with no positive
+    diagonal entry cannot be factored and raises.
 
-    Restricted to the landmark rows, P P^T reproduces C[a, a] whenever the
-    block is nonsingular.
+    Restricted to the landmark rows, P P^T reproduces C[a, a] up to the
+    dropped directions, so to roundoff when no pivot falls below the floor.
     """
     c_cols = np.asarray(c_cols, dtype=np.float64)
     c_landmark = np.asarray(c_landmark, dtype=np.float64)
@@ -361,19 +377,21 @@ def chol_factor(c_cols: np.ndarray, c_landmark: np.ndarray) -> LowRankFactor:
     if c_cols.ndim != 2 or c_cols.shape[1] != c_landmark.shape[0]:
         raise ValueError("column block width must match the landmark block")
     sym = 0.5 * (c_landmark + c_landmark.T)
-    w, u = np.linalg.eigh(sym)
-    if not np.isfinite(w).all():
-        raise FactorizationError("landmark block has non-finite eigenvalues")
-    lam_max = w[-1]
-    if lam_max <= 0.0:
+    if not np.isfinite(sym).all():
+        raise FactorizationError("landmark block has non-finite entries")
+    d_max = sym.diagonal().max()
+    if d_max <= 0.0:
         raise FactorizationError(
             "landmark block is numerically singular beyond clamping "
-            f"(largest eigenvalue {lam_max:.3e}, smallest {w[0]:.3e})",
-            eigenvalue=float(w[0]),
+            f"(largest diagonal entry {d_max:.3e})",
+            eigenvalue=float(d_max),
         )
-    w_clamped = np.maximum(w, EIG_FLOOR_REL * lam_max)
-    inv_sqrt = (u / np.sqrt(w_clamped)) @ u.T
-    return LowRankFactor(c_cols @ inv_sqrt)
+    chol, piv, rank, _ = lapack.dpstrf(sym, tol=EIG_FLOOR_REL * d_max, lower=1,
+                                       overwrite_a=1)
+    inv, _ = lapack.dtrtri(chol[:rank, :rank], lower=1, overwrite_c=1)
+    m = np.zeros((sym.shape[0], rank))
+    m[piv[:rank] - 1] = np.tril(inv).T
+    return LowRankFactor(c_cols @ m)
 
 
 # ---------------------------------------------------------------------------

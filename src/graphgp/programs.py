@@ -199,7 +199,11 @@ def run_exact(program: KernelProgram, k0: np.ndarray,
 
 def nystrom_start(features, landmarks: LandmarkSet,
                   kernel: Callable = base_inner) -> LowRankFactor:
-    """Landmark factor of the base covariance without forming it densely."""
+    """Landmark factor of the base covariance without forming it densely.
+
+    Its rank is the numerical rank of the landmark block: at most the
+    feature count for ``base_inner``.
+    """
     features = np.asarray(features, dtype=np.float64)
     anchors = features[landmarks.indices]
     return chol_factor(kernel(features, anchors), kernel(anchors))
@@ -209,9 +213,10 @@ def lowrank_variant(program: KernelProgram, q0: LowRankFactor,
                     landmarks: LandmarkSet) -> LowRankFactor:
     """Run the program on a factor; a failing layer names itself.
 
-    The rank stays bounded: every activation resets the basis to the
-    landmark count, bias adds one column when sigma_b > 0, and the gcnii
-    skip re-adds rank(Q0) columns per layer.
+    The rank stays bounded: every activation resets the basis to at most
+    the landmark count (the numerical rank of the landmark block), bias
+    adds one column when sigma_b > 0, and the gcnii skip re-adds rank(Q0)
+    columns per layer.
     """
     if q0.n != program.a.n_nodes:
         raise ValueError(

@@ -4,10 +4,14 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import graphgp
 from graphgp import (
     ExactPosterior,
     KernelProgram,
@@ -215,6 +219,32 @@ def test_infer_without_a_finite_validation_score_reports(flags, tmp_path, capsys
     assert "r2_val: nan" in lines
     assert f"nugget: {flags[1] if flags else '0.001'}" in lines
     assert ("[nugget_search]" in lines) == (not flags)
+
+
+def test_warning_prints_one_stable_stderr_line(tmp_path, capsys):
+    # a constant regression validation target leaves R^2 undefined; the
+    # warning reaches stderr as one line, without the file and line that
+    # raised it, so the stderr of a run does not move with the source
+    ds = synthetic_dataset(60, seed=3)
+    ds.targets[ds.splits.val] = 0.5
+    save_dataset(ds, str(tmp_path / "ds"))
+    src = os.path.dirname(os.path.dirname(graphgp.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphgp.cli", "infer", "--dataset", str(tmp_path / "ds")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == (
+        "warning: validation target is constant, R^2 is undefined; "
+        "falling back to the smallest nugget\n"
+    )
+    assert "r2_val: nan" in proc.stdout.splitlines()
+    # the format is the call's own: main leaves the warnings module as it found it
+    before = warnings.formatwarning
+    with pytest.warns(RuntimeWarning, match="constant"):
+        assert run_cli(capsys, "infer", "--dataset", str(tmp_path / "ds"))[0] == 0
+    assert warnings.formatwarning is before
 
 
 def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):

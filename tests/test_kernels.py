@@ -19,10 +19,11 @@ from graphgp import (
     base_rbf,
     chol_factor,
     correlation_map,
+    nystrom_start,
     relu_expectation,
 )
 
-from conftest import random_psd, row_operator, sym_operator
+from conftest import random_features, random_psd, row_operator, sym_operator
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +178,42 @@ def test_chol_factor_exact_for_spanning_landmarks():
 
 
 def test_chol_factor_rejects_negative_block():
+    # ``eigenvalue`` carries the block's largest diagonal entry, here -1
     with pytest.raises(FactorizationError, match="singular beyond clamping") as exc:
         chol_factor(np.zeros((3, 2)), -np.eye(2))
     assert exc.value.eigenvalue is not None and exc.value.eigenvalue < 0
+
+
+def test_chol_factor_rejects_zero_block():
+    with pytest.raises(FactorizationError, match="singular beyond clamping") as exc:
+        chol_factor(np.ones((3, 2)), np.zeros((2, 2)))
+    assert exc.value.eigenvalue == 0.0
+
+
+def test_nystrom_start_reveals_the_feature_rank():
+    # inner-product base features with d0 < r landmarks: the landmark block
+    # has rank d0, and the factor keeps exactly those directions
+    x = random_features(60, 5, seed=30)
+    lm = LandmarkSet.draw(np.arange(60), 20, seed=31)
+    q = nystrom_start(x, lm)
+    assert q.rank == 5
+    anchors = x[lm.indices]
+    block = q.q[lm.indices] @ q.q[lm.indices].T
+    assert np.abs(block - base_inner(anchors)).max() <= 1e-10
+    assert np.abs(q.gram() - base_inner(x)).max() <= 1e-10  # d0 directions span K0
+
+
+def test_chol_factor_drops_directions_below_the_pivot_floor():
+    # a rank-3 block plus a direction at 1e-12 of the largest diagonal entry,
+    # below EIG_FLOOR_REL: the factor has rank 3, not 4
+    b = random_features(8, 3, seed=32)
+    c = b @ b.T
+    e = np.zeros(8)
+    e[0] = 1.0
+    c_floor = c + 1e-12 * c.diagonal().max() * np.outer(e, e)
+    factor = chol_factor(c_floor, c_floor)
+    assert factor.rank == 3
+    assert np.abs(factor.gram() - c).max() <= 1e-10 * c.diagonal().max()
 
 
 def test_chol_factor_shape_checks():

@@ -14,13 +14,17 @@ from graphgp import (
     apply_block_exact,
     base_inner,
     base_poly,
+    build_adjacency,
     compare_covariance,
     gcnii_beta_schedule,
     identity_adjacency,
     lowrank_variant,
+    normalize_row,
+    normalize_sym,
     nystrom_start,
     run_exact,
     sample_covariance,
+    synthetic_dataset,
 )
 
 from conftest import every_layer, random_features, row_operator, sym_operator
@@ -245,6 +249,34 @@ def test_nystrom_start_landmark_rows():
     k0 = base_inner(x)
     block = q.gram()[np.ix_(lm.indices, lm.indices)]
     assert np.abs(block - k0[np.ix_(lm.indices, lm.indices)]).max() <= 1e-10
+
+
+@pytest.mark.parametrize("arch", ["gcn", "gcnii", "gin", "sage", "mlp"])
+def test_lowrank_kernel_is_permutation_equivariant(arch):
+    # relabel the nodes of a 300-node, 3-class graph, build the low-rank
+    # Gram with the training set as landmarks, and relabel it back: it must
+    # be the original Gram up to roundoff (64 features, 150 landmarks, so
+    # the start factor's landmark block is rank-deficient)
+    ds = synthetic_dataset(300, n_features=64, n_classes=3, seed=7)
+    n = ds.n_nodes
+    perm = np.random.default_rng(8).permutation(n)  # new node i is old node perm[i]
+    inv = np.argsort(perm)
+    coo = ds.graph.to_csr().tocoo()
+    relabelled = build_adjacency(np.column_stack([inv[coo.row], inv[coo.col]]), n)
+
+    def gram(graph, x, train):
+        if arch == "mlp":
+            op = identity_adjacency(n)
+        else:
+            op = normalize_row(graph) if arch == "sage" else normalize_sym(graph)
+        betas = gcnii_beta_schedule(3) if arch == "gcnii" else ()
+        prog = KernelProgram(arch, op, 3, beta_schedule=betas)
+        lm = LandmarkSet(np.sort(train))
+        return lowrank_variant(prog, nystrom_start(x, lm), lm).gram()
+
+    g = gram(ds.graph, ds.features, ds.splits.train)
+    back = gram(relabelled, ds.features[perm], inv[ds.splits.train])[np.ix_(inv, inv)]
+    assert np.linalg.norm(back - g) <= 1e-13 * np.linalg.norm(g)
 
 
 def test_lowrank_failure_names_layer():
