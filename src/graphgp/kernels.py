@@ -382,7 +382,7 @@ def chol_factor(c_cols: np.ndarray, c_landmark: np.ndarray) -> LowRankFactor:
     d_max = sym.diagonal().max()
     if d_max <= 0.0:
         raise FactorizationError(
-            "landmark block is numerically singular beyond clamping "
+            "landmark block has no pivot above the floor "
             f"(largest diagonal entry {d_max:.3e})",
             eigenvalue=float(d_max),
         )

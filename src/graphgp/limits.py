@@ -24,25 +24,36 @@ does not grow with depth.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
+from scipy.sparse.linalg import eigsh
 
 from .adjacency import SpectralInfo, is_connected, spectral_radius
 from .kernels import _tile_rows, relu_expectation
-from .programs import KernelProgram, run_exact
+from .programs import KernelProgram, require_memory, run_exact
 
-# dense per-layer spectra make large scans expensive; keep them small
-MAX_SCAN_NODES = 200
 # telemetry window for the trailing-difference (Cauchy) gap
 CAUCHY_LAG = 10
+# N x N float64 arrays a scan holds at its peak: the CAUCHY_LAG kept
+# kernels, K0 and the layer in flight.  Traced CLI scans at N = 1000, nugget
+# searches included, peaked at 14.6 (gcn), 15.1 (gin) and 15.6 (gcnii); the
+# observer's row strips have a bounded size, so the count holds at larger N
+# (below 512 nodes one strip is the whole kernel, adding at most 1.2).
+SCAN_PEAK_NN = CAUCHY_LAG + 6.0
+# SciPy >= 1.16 draws ARPACK's restart vectors from ``rng``; a fixed seed
+# restarts a breakdown (v0 in an invariant subspace) alike on every call
+_EIGSH_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
 
 
 @dataclass(frozen=True, eq=False)
 class DepthTrace:
     """Per-layer diagnostics; index i describes the kernel after layer i+1.
 
+    ``top2_singular_ratio`` is the second over the first singular value of
+    K, from a Lanczos solve for its two eigenvalues of largest magnitude;
     ``scaled_gap`` is the relative Frobenius distance of K / delta^l to its
     best rank-one multiple of the Perron profile (graph-convolution
     programs only, nan otherwise); ``cauchy_gap`` is the telemetry-only
@@ -78,25 +89,49 @@ def _min_correlation(k: np.ndarray) -> float:
 
 
 def _top2_ratio(k: np.ndarray) -> float:
-    """Second over first singular value of K; nan for a zero or 1 x 1 K.
+    """Second over first singular value of a symmetric K; nan for a zero or 1 x 1 K.
 
-    A ratio near 1e-11 carries only about 5 significant digits: the
-    smaller singular value is then at the rounding level of the larger.
+    The singular values of a symmetric matrix are the magnitudes of its
+    eigenvalues, so a Lanczos solve (ARPACK) for the two of largest
+    magnitude, started from ones, gives the ratio in a few dozen products
+    K v; below 4 nodes, where ARPACK cannot take two, a full SVD does.  A
+    ratio near 1e-11 carries only about 5 significant digits: the smaller
+    value is then at the rounding level of the larger.
     """
-    scale = np.abs(k).max()
-    if scale == 0 or k.shape[0] < 2:
+    n = k.shape[0]
+    if n < 2 or not k.any():
         return float("nan")
-    s = np.linalg.svd(k / scale, compute_uv=False)
-    return float(s[1] / s[0]) if s[0] > 0 else float("nan")
+    if n < 4:
+        s = np.linalg.svd(k, compute_uv=False)
+    else:
+        s = eigsh(k, k=2, which="LM", v0=np.ones(n), return_eigenvectors=False, **_EIGSH_RNG)
+    s = np.sort(np.abs(s))
+    return float(s[-2] / s[-1])
 
 
-def _rank1_gap(kappa: np.ndarray, v: np.ndarray) -> float:
-    """Relative Frobenius residual after the best fit c * v v^T (c by least squares)."""
-    norm = np.linalg.norm(kappa)
+def _sum_squares(strips) -> float:
+    """Squared Frobenius norm of the row strips' concatenation."""
+    return sum(float(x.ravel().dot(x.ravel())) for x in strips)
+
+
+def _frobenius_distance(x: np.ndarray, y: np.ndarray) -> float:
+    """||X - Y||_F, taken over row strips."""
+    return np.sqrt(_sum_squares(x[r] - y[r] for r in _row_strips(x.shape[0])))
+
+
+def _rank1_gap(k: np.ndarray, scale: float, v: np.ndarray) -> float:
+    """Relative Frobenius residual of kappa = K / scale after its best fit c * v v^T.
+
+    c comes by least squares (||v|| = 1 makes it v^T kappa v).  kappa and
+    the residual are formed one row strip at a time, never as N x N arrays.
+    """
+    strips = _row_strips(k.shape[0])
+    norm = np.sqrt(_sum_squares(k[r] / scale for r in strips))
     if norm == 0:
         return float("nan")
-    c = float(v @ kappa @ v)  # ||v|| = 1 makes this the least-squares coefficient
-    return float(np.linalg.norm(kappa - c * np.outer(v, v)) / norm)
+    c = float(sum(v[r] @ (k[r] / scale) for r in strips) @ v)
+    resid = np.sqrt(_sum_squares(k[r] / scale - c * np.outer(v[r], v) for r in strips))
+    return float(resid / norm)
 
 
 def depth_scan(program: KernelProgram, k0: np.ndarray,
@@ -104,17 +139,17 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
     """Run the program's exact recursion to its depth, recording diagnostics.
 
     The diagnostics are an ``on_layer`` observer of ``run_exact``; besides
-    the current kernel, only the last CAUCHY_LAG kernels stay alive.  The
-    operator must be symmetric, nonnegative, irreducible (connected) and
-    aperiodic (positive diagonal, which both normalizations guarantee via
-    their self-loops); the depth-limit statements assume exactly that.  The
+    the current kernel, only the last CAUCHY_LAG kernels stay alive, and
+    the observer forms no N x N temporary.  Any node count is accepted, but
+    before the first layer the scan raises ValueError when its SCAN_PEAK_NN
+    N x N arrays would not fit in the available memory.  The operator must
+    be symmetric, nonnegative, irreducible (connected) and aperiodic
+    (positive diagonal, which both normalizations guarantee via their
+    self-loops); the depth-limit statements assume exactly that.  The
     optional ``per_layer`` callback sees each dense kernel as it is produced.
     """
     a = program.a
-    if a.n_nodes > MAX_SCAN_NODES:
-        raise ValueError(
-            f"depth scan is dense and capped at {MAX_SCAN_NODES} nodes; got {a.n_nodes}"
-        )
+    require_memory(a.n_nodes, SCAN_PEAK_NN, "depth scan")
     m = a.to_csr()
     asym = np.abs(m - m.T)
     if asym.nnz and asym.max() > 1e-12:
@@ -148,10 +183,9 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
         tr[i] = np.trace(k)
         top2[i] = _top2_ratio(k)
         if gcn_like and delta > 0:
-            kappa = k / delta**layer
-            gap[i] = _rank1_gap(kappa, perron.eigenvector)
+            gap[i] = _rank1_gap(k, delta**layer, perron.eigenvector)
         if len(window) == CAUCHY_LAG:
-            cauchy[i] = np.linalg.norm(k - window.pop(0))
+            cauchy[i] = _frobenius_distance(k, window.pop(0))
         window.append(k)
         if per_layer is not None:
             per_layer(layer, k)

@@ -25,6 +25,7 @@ Both keep only the current layer alive and return the final one;
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -195,6 +196,45 @@ def run_exact(program: KernelProgram, k0: np.ndarray,
             f"base kernel shape {k0.shape} does not match operator size {program.a.n_nodes}"
         )
     return _drive(program, k0, apply_block_exact, on_layer)
+
+
+def _read(path: str) -> Optional[str]:
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def available_memory() -> Optional[int]:
+    """Bytes the process can still allocate; None when the system does not say.
+
+    MemAvailable from /proc/meminfo, lowered to the headroom of the cgroup
+    (v2) when it sets ``memory.max``: that limit less ``memory.current``.
+    Only reads files.
+    """
+    found = re.search(r"^MemAvailable:\s+(\d+) kB", _read("/proc/meminfo") or "", re.M)
+    bounds = [int(found.group(1)) * 1024] if found else []
+    limit, usage = _read("/sys/fs/cgroup/memory.max"), _read("/sys/fs/cgroup/memory.current")
+    if limit and usage and limit.strip() != "max":
+        bounds.append(int(limit) - int(usage))
+    return min(bounds) if bounds else None
+
+
+def require_memory(n_nodes: int, n_arrays: float, what: str) -> None:
+    """Raise ValueError when ``n_arrays`` N x N float64 arrays will not fit.
+
+    Meant to run before the first N x N allocation of a dense computation;
+    it compares n_arrays * N^2 * 8 bytes with ``available_memory()`` and
+    checks nothing when no bound can be read.
+    """
+    need = 8.0 * n_arrays * n_nodes**2
+    avail = available_memory()
+    if avail is not None and need > avail:
+        raise ValueError(
+            f"{what} on {n_nodes} nodes needs about {n_arrays:g} N x N arrays "
+            f"({need / 2**30:.2f} GiB), but only {avail / 2**30:.2f} GiB is available"
+        )
 
 
 def nystrom_start(features, landmarks: LandmarkSet,

@@ -43,13 +43,14 @@ from .kernels import (
     base_poly,
     base_rbf,
 )
-from .limits import depth_scan, mlp_fixed_point
+from .limits import SCAN_PEAK_NN, depth_scan, mlp_fixed_point
 from .programs import (
     ARCHITECTURES,
     KernelProgram,
     gcnii_beta_schedule,
     lowrank_variant,
     nystrom_start,
+    require_memory,
     run_exact,
 )
 from .reports import Report
@@ -358,6 +359,9 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     sigma_b = _default_sigma_b(cfg, task)
     feats = _preprocess(cfg, ds, None)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
+    if cfg.arch != "mlp":
+        # fail before K0, the first N x N array, is made
+        require_memory(ds.n_nodes, SCAN_PEAK_NN, "depth scan")
     k0 = _base_callable(cfg, cfg.gamma)(feats)
     grid = _search_grid(cfg)
 

@@ -179,13 +179,13 @@ def test_chol_factor_exact_for_spanning_landmarks():
 
 def test_chol_factor_rejects_negative_block():
     # ``eigenvalue`` carries the block's largest diagonal entry, here -1
-    with pytest.raises(FactorizationError, match="singular beyond clamping") as exc:
+    with pytest.raises(FactorizationError, match="no pivot above the floor") as exc:
         chol_factor(np.zeros((3, 2)), -np.eye(2))
     assert exc.value.eigenvalue is not None and exc.value.eigenvalue < 0
 
 
 def test_chol_factor_rejects_zero_block():
-    with pytest.raises(FactorizationError, match="singular beyond clamping") as exc:
+    with pytest.raises(FactorizationError, match="no pivot above the floor") as exc:
         chol_factor(np.ones((3, 2)), np.zeros((2, 2)))
     assert exc.value.eigenvalue == 0.0
 

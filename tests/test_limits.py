@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from graphgp import kernels, limits
+from graphgp import kernels, limits, programs
 from graphgp import (
     KernelProgram,
     base_inner,
@@ -18,7 +18,6 @@ from conftest import (
     every_layer,
     random_features,
     random_psd,
-    ring_with_chords,
     row_operator,
     sym_operator,
 )
@@ -33,10 +32,46 @@ def inner_k0(n, d, seed):
 # depth_scan preconditions
 
 
-def test_scan_rejects_large_graphs():
-    prog = KernelProgram.gcn(normalize_sym(ring_with_chords(201, 0, 0)), 2)
-    with pytest.raises(ValueError, match="capped at 200 nodes; got 201"):
-        depth_scan(prog, np.eye(201))
+def test_scan_rejects_large_graphs(monkeypatch):
+    # one byte short of the estimate: the scan fails before its first layer,
+    # so nothing near an N x N array is allocated
+    n = 300
+    need = 8 * limits.SCAN_PEAK_NN * n * n
+    monkeypatch.setattr(programs, "available_memory", lambda: int(need) - 1)
+    prog = KernelProgram.gcn(sym_operator(n, 0, 0), 2)
+    k0 = np.eye(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="depth scan on 300 nodes needs about 16 N x N"):
+            depth_scan(prog, k0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= 0.1
+    monkeypatch.setattr(programs, "available_memory", lambda: int(need))
+    assert depth_scan(prog, k0).layers.size == 2
+
+
+def test_scan_runs_past_200_nodes():
+    trace = depth_scan(KernelProgram.gcn(sym_operator(201, 30, 0), 3, sigma_b=0.1),
+                       inner_k0(201, 8, 0))
+    assert np.isfinite(trace.top2_singular_ratio).all()
+
+
+def test_available_memory_reads_meminfo_and_cgroup(monkeypatch):
+    files = {"/proc/meminfo": "MemTotal: 8000 kB\nMemAvailable:     1000 kB\n"}
+    monkeypatch.setattr(programs, "_read", files.get)
+    assert programs.available_memory() == 1024000
+    # the cgroup's headroom is its limit less its usage
+    files["/sys/fs/cgroup/memory.max"] = "600000\n"
+    files["/sys/fs/cgroup/memory.current"] = "100000\n"
+    assert programs.available_memory() == 500000
+    files["/sys/fs/cgroup/memory.max"] = "max\n"
+    assert programs.available_memory() == 1024000
+    # with no bound to read, nothing is checked
+    files.clear()
+    assert programs.available_memory() is None
+    programs.require_memory(10**6, 100.0, "unbounded")
 
 
 def test_scan_rejects_asymmetric_operator():
@@ -197,6 +232,118 @@ def test_min_correlation_in_row_tiles(monkeypatch):
         tracemalloc.stop()
     assert got == ref
     assert peak / (8.0 * n * n) <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# spectra and gaps of the observer
+
+
+def svd_ratio(k):
+    s = np.linalg.svd(k / np.abs(k).max(), compute_uv=False)
+    return s[1] / s[0]
+
+
+def assert_ratio_close(got, want):
+    # the golden report check's tolerance
+    assert np.isclose(got, want, rtol=1e-9, atol=1e-14), (got, want)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("arch", ["gcn", "gcnii"])
+def test_top2_ratio_matches_svd_on_every_layer(arch):
+    # 60 layers on 200 nodes; the bias-free gcn ratio falls from 0.9 to 5e-9
+    a = sym_operator(200, 200, 7)
+    x = random_features(200, 32, 7)
+    prog = (KernelProgram.gcn(a, 60) if arch == "gcn" else KernelProgram.gcnii(a, 60))
+    want = {}
+    trace = depth_scan(prog, x @ x.T / 32,
+                       per_layer=lambda l, k: want.__setitem__(l, svd_ratio(k)))
+    for l in trace.layers:
+        assert_ratio_close(trace.top2_singular_ratio[l - 1], want[l])
+    if arch == "gcn":
+        assert trace.top2_singular_ratio[-1] < 1e-8
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("arch", ["gcn", "gcnii"])
+def test_top2_ratio_on_a_ring_where_lanczos_breaks_down(arch):
+    # a ring's kernels from K0 = I are circulant, so ones, the start vector,
+    # is an eigenvector and the first Lanczos step spans an invariant subspace
+    n = 40
+    a = sym_operator(n, 0, 0)
+    prog = KernelProgram.gcn(a, 20, sigma_b=0.1) if arch == "gcn" else KernelProgram.gcnii(a, 20)
+    for k in every_layer(prog, np.eye(n)):
+        row_sums = k.sum(axis=1)
+        assert np.ptp(row_sums) <= 1e-12 * row_sums.max()
+        got = limits._top2_ratio(k)
+        assert_ratio_close(got, svd_ratio(k))
+        assert limits._top2_ratio(k) == got
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_top2_ratio_on_the_smallest_kernels(n):
+    # singular values are eigenvalue magnitudes; the indefinite matrix puts a
+    # negative eigenvalue second by magnitude
+    q, _ = np.linalg.qr(random_features(n, n, n))
+    for eigenvalues in ([3.0, 2.0, 1.0, 0.5], [3.0, -2.0, 1.0, 0.5]):
+        k = (q * eigenvalues[:n]) @ q.T
+        assert_ratio_close(limits._top2_ratio(k), 2.0 / 3.0)
+        assert_ratio_close(limits._top2_ratio(k), svd_ratio(k))
+    assert np.isnan(limits._top2_ratio(np.zeros((n, n))))
+
+
+def test_top2_ratio_is_reproducible():
+    k = random_psd(150, 3)
+    first = limits._top2_ratio(k)
+    assert limits._top2_ratio(k) == first
+    assert limits._top2_ratio(k.copy()) == first
+
+
+def test_observer_gaps_in_row_strips(monkeypatch):
+    # one strip forms exactly the whole-matrix expressions; many strips stay
+    # within rounding of them, with no N x N temporary
+    n = 1000
+    k = inner_k0(n, 16, 5)
+    old = inner_k0(n, 16, 6)
+    v = random_features(n, 1, 7)[:, 0]
+    v /= np.linalg.norm(v)
+    kappa = k / 3.0
+    c = float(v @ kappa @ v)
+    want_gap = float(np.linalg.norm(kappa - c * np.outer(v, v)) / np.linalg.norm(kappa))
+    want_dist = np.linalg.norm(k - old)
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", n * n)
+    assert limits._rank1_gap(k, 3.0, v) == want_gap
+    assert limits._frobenius_distance(k, old) == want_dist
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)
+    tracemalloc.start()
+    try:
+        got_gap = limits._rank1_gap(k, 3.0, v)
+        got_dist = limits._frobenius_distance(k, old)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(got_gap - want_gap) <= 1e-12 * want_gap
+    assert abs(got_dist - want_dist) <= 1e-12 * want_dist
+    assert peak / (8.0 * n * n) <= 0.1
+
+
+@pytest.mark.parametrize("arch", ["gcn", "gcnii", "gin"])
+def test_scan_peak_within_its_estimate(monkeypatch, arch):
+    # the observer's strips as small as at a large N; K0 counts, since every
+    # caller holds it through the scan
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)
+    n = 600
+    a = sym_operator(n, 300, 2)
+    prog = {"gcn": KernelProgram.gcn(a, 12), "gcnii": KernelProgram.gcnii(a, 12),
+            "gin": KernelProgram.gin(a, 12, sigma_b=0.1)}[arch]
+    tracemalloc.start()
+    try:
+        depth_scan(prog, inner_k0(n, 16, 2))
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
+    finally:
+        tracemalloc.stop()
+    assert limits.CAUCHY_LAG + 3 <= peak <= limits.SCAN_PEAK_NN
 
 
 # ---------------------------------------------------------------------------
