@@ -24,12 +24,10 @@ does not grow with depth.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
 
 from .adjacency import SpectralInfo, is_connected, spectral_radius
 from .kernels import _tile_rows, relu_expectation
@@ -43,9 +41,9 @@ CAUCHY_LAG = 10
 # observer's row strips have a bounded size, so the count holds at larger N
 # (below 512 nodes one strip is the whole kernel, adding at most 1.2).
 SCAN_PEAK_NN = CAUCHY_LAG + 6.0
-# SciPy >= 1.16 draws ARPACK's restart vectors from ``rng``; a fixed seed
-# restarts a breakdown (v0 in an invariant subspace) alike on every call
-_EIGSH_RNG = {"rng": 0} if "rng" in inspect.signature(eigsh).parameters else {}
+# Lanczos basis size of the top-two solve (ARPACK's default for two
+# eigenvalues); a restart keeps the best half of its Ritz vectors
+LANCZOS_BASIS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,7 +51,8 @@ class DepthTrace:
     """Per-layer diagnostics; index i describes the kernel after layer i+1.
 
     ``top2_singular_ratio`` is the second over the first singular value of
-    K, from a Lanczos solve for its two eigenvalues of largest magnitude;
+    K, from a seeded Lanczos solve for its two eigenvalues of largest
+    magnitude (an SVD up to LANCZOS_BASIS nodes);
     ``scaled_gap`` is the relative Frobenius distance of K / delta^l to its
     best rank-one multiple of the Perron profile (graph-convolution
     programs only, nan otherwise); ``cauchy_gap`` is the telemetry-only
@@ -88,25 +87,86 @@ def _min_correlation(k: np.ndarray) -> float:
     return float(np.clip(lowest, -1.0, 1.0))
 
 
+def _orthogonalize(f: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """f less its projection on the orthonormal rows of ``basis``, taken twice."""
+    f = f - (f @ basis.T) @ basis
+    return f - (f @ basis.T) @ basis
+
+
+def _random_direction(rng: np.random.Generator, basis: np.ndarray) -> np.ndarray:
+    """A seeded uniform direction, orthogonal to the rows of ``basis``."""
+    return _orthogonalize(rng.uniform(-1.0, 1.0, basis.shape[1]), basis)
+
+
+def _top2_eigenvalues(k: np.ndarray) -> np.ndarray:
+    """The two eigenvalues of largest magnitude of a symmetric K, largest first.
+
+    Thick-restart Lanczos with full reorthogonalization, for N above
+    LANCZOS_BASIS: a basis of LANCZOS_BASIS vectors, Rayleigh-Ritz on it,
+    and a restart from the half of the Ritz vectors with the largest |theta|
+    until both residual bounds fall to machine precision of the largest.
+    When the basis becomes invariant up to rounding (the Krylov space is
+    used up) the next vector is a fresh direction, so a repeated top
+    eigenvalue is found too.  Both the start and the fresh directions come
+    from a generator seeded here, so a kernel's result does not depend on
+    earlier calls.
+    """
+    n = k.shape[0]
+    m = LANCZOS_BASIS
+    eps = np.finfo(np.float64).eps
+    rng = np.random.default_rng(0)
+    v = np.empty((m, n))
+    kv = np.empty((m, n))
+    f = _random_direction(rng, v[:0])
+    beta = np.linalg.norm(f)
+    scale = 0.0
+    j = 0
+    for _ in range(n):
+        while j < m:
+            v[j] = f / beta
+            np.dot(k, v[j], out=kv[j])
+            scale = max(scale, np.linalg.norm(kv[j]))
+            j += 1
+            f = _orthogonalize(kv[j - 1], v[:j])
+            beta = np.linalg.norm(f)
+            if beta <= eps * scale:
+                # the basis is invariant: done when it is full, else go on
+                # from a fresh direction (N > m leaves one)
+                beta = 0.0
+                if j < m:
+                    f = _random_direction(rng, v[:j])
+                    beta = np.linalg.norm(f)
+        theta, s = np.linalg.eigh(v @ kv.T)
+        order = np.argsort(-np.abs(theta), kind="stable")
+        top = order[:2]
+        # ||K y - theta y|| = beta |s_last| for a Ritz pair (theta, y = s^T v)
+        if np.all(beta * np.abs(s[-1, top]) <= eps * abs(theta[top[0]])):
+            return theta[top]
+        kept = order[: m // 2]
+        v[: kept.size] = s[:, kept].T @ v
+        kv[: kept.size] = s[:, kept].T @ kv
+        j = kept.size
+    raise RuntimeError(f"Lanczos top-two solve did not converge on {n} nodes")
+
+
 def _top2_ratio(k: np.ndarray) -> float:
     """Second over first singular value of a symmetric K; nan for a zero or 1 x 1 K.
 
     The singular values of a symmetric matrix are the magnitudes of its
-    eigenvalues, so a Lanczos solve (ARPACK) for the two of largest
-    magnitude, started from ones, gives the ratio in a few dozen products
-    K v; below 4 nodes, where ARPACK cannot take two, a full SVD does.  A
-    ratio near 1e-11 carries only about 5 significant digits: the smaller
+    eigenvalues, so above LANCZOS_BASIS nodes the two of largest magnitude
+    from a Lanczos solve give the ratio in a few dozen products K v; up to
+    that size, where a basis would span every direction, a full SVD does.
+    A ratio near 1e-11 carries only about 5 significant digits: the smaller
     value is then at the rounding level of the larger.
     """
     n = k.shape[0]
     if n < 2 or not k.any():
         return float("nan")
-    if n < 4:
-        s = np.linalg.svd(k, compute_uv=False)
+    if n <= LANCZOS_BASIS:
+        s = np.linalg.svd(k / np.abs(k).max(), compute_uv=False)
     else:
-        s = eigsh(k, k=2, which="LM", v0=np.ones(n), return_eigenvectors=False, **_EIGSH_RNG)
-    s = np.sort(np.abs(s))
-    return float(s[-2] / s[-1])
+        s = np.abs(_top2_eigenvalues(k))
+    return float(s[1] / s[0])
 
 
 def _sum_squares(strips) -> float:
@@ -141,15 +201,16 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
     The diagnostics are an ``on_layer`` observer of ``run_exact``; besides
     the current kernel, only the last CAUCHY_LAG kernels stay alive, and
     the observer forms no N x N temporary.  Any node count is accepted, but
-    before the first layer the scan raises ValueError when its SCAN_PEAK_NN
-    N x N arrays would not fit in the available memory.  The operator must
+    before the first layer the scan raises ValueError when the SCAN_PEAK_NN
+    N x N arrays of its peak, less the K0 its caller already holds, would
+    not fit in the available memory.  The operator must
     be symmetric, nonnegative, irreducible (connected) and aperiodic
     (positive diagonal, which both normalizations guarantee via their
     self-loops); the depth-limit statements assume exactly that.  The
     optional ``per_layer`` callback sees each dense kernel as it is produced.
     """
     a = program.a
-    require_memory(a.n_nodes, SCAN_PEAK_NN, "depth scan")
+    require_memory(a.n_nodes, SCAN_PEAK_NN - 1, "depth scan")
     m = a.to_csr()
     asym = np.abs(m - m.T)
     if asym.nnz and asym.max() > 1e-12:

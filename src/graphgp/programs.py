@@ -206,18 +206,36 @@ def _read(path: str) -> Optional[str]:
         return None
 
 
+def _cgroup_headroom(path: str) -> Optional[int]:
+    """memory.max less the unreclaimable usage of one cgroup (v2) directory.
+
+    Usage is memory.current less the inactive file cache of memory.stat,
+    which the kernel reclaims before it refuses an allocation; None when
+    the directory sets no limit.
+    """
+    limit, usage = _read(path + "/memory.max"), _read(path + "/memory.current")
+    if not limit or not usage or limit.strip() == "max":
+        return None
+    cache = re.search(r"^inactive_file (\d+)$", _read(path + "/memory.stat") or "", re.M)
+    return int(limit) - int(usage) + (int(cache.group(1)) if cache else 0)
+
+
 def available_memory() -> Optional[int]:
     """Bytes the process can still allocate; None when the system does not say.
 
-    MemAvailable from /proc/meminfo, lowered to the headroom of the cgroup
-    (v2) when it sets ``memory.max``: that limit less ``memory.current``.
-    Only reads files.
+    MemAvailable from /proc/meminfo, lowered to the least headroom of the
+    process's cgroup (v2, found through /proc/self/cgroup) and of every
+    cgroup above it that sets ``memory.max``.  Limits of cgroup v1 are not
+    read.  Only reads files.
     """
     found = re.search(r"^MemAvailable:\s+(\d+) kB", _read("/proc/meminfo") or "", re.M)
     bounds = [int(found.group(1)) * 1024] if found else []
-    limit, usage = _read("/sys/fs/cgroup/memory.max"), _read("/sys/fs/cgroup/memory.current")
-    if limit and usage and limit.strip() != "max":
-        bounds.append(int(limit) - int(usage))
+    own = re.search(r"^0::(/.*)$", _read("/proc/self/cgroup") or "", re.M)
+    parts = [p for p in own.group(1).split("/") if p] if own else []
+    for depth in range(len(parts) + 1):
+        headroom = _cgroup_headroom("/".join(["/sys/fs/cgroup", *parts[:depth]]))
+        if headroom is not None:
+            bounds.append(headroom)
     return min(bounds) if bounds else None
 
 

@@ -360,7 +360,7 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     feats = _preprocess(cfg, ds, None)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
     if cfg.arch != "mlp":
-        # fail before K0, the first N x N array, is made
+        # fail before K0, the first N x N array, is made; the count includes it
         require_memory(ds.n_nodes, SCAN_PEAK_NN, "depth scan")
     k0 = _base_callable(cfg, cfg.gamma)(feats)
     grid = _search_grid(cfg)

@@ -33,16 +33,16 @@ def inner_k0(n, d, seed):
 
 
 def test_scan_rejects_large_graphs(monkeypatch):
-    # one byte short of the estimate: the scan fails before its first layer,
-    # so nothing near an N x N array is allocated
+    # one byte short of the estimate, less the K0 the caller holds: the scan
+    # fails before its first layer, so nothing near an N x N array is allocated
     n = 300
-    need = 8 * limits.SCAN_PEAK_NN * n * n
+    need = 8 * (limits.SCAN_PEAK_NN - 1) * n * n
     monkeypatch.setattr(programs, "available_memory", lambda: int(need) - 1)
     prog = KernelProgram.gcn(sym_operator(n, 0, 0), 2)
     k0 = np.eye(n)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="depth scan on 300 nodes needs about 16 N x N"):
+        with pytest.raises(ValueError, match="depth scan on 300 nodes needs about 15 N x N"):
             depth_scan(prog, k0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -62,12 +62,24 @@ def test_available_memory_reads_meminfo_and_cgroup(monkeypatch):
     files = {"/proc/meminfo": "MemTotal: 8000 kB\nMemAvailable:     1000 kB\n"}
     monkeypatch.setattr(programs, "_read", files.get)
     assert programs.available_memory() == 1024000
-    # the cgroup's headroom is its limit less its usage
+    # the headroom of the process's own cgroup: its limit less its usage,
+    # where inactive file cache does not count as used
+    files["/proc/self/cgroup"] = "0::/\n"
     files["/sys/fs/cgroup/memory.max"] = "600000\n"
-    files["/sys/fs/cgroup/memory.current"] = "100000\n"
+    files["/sys/fs/cgroup/memory.current"] = "300000\n"
+    assert programs.available_memory() == 300000
+    files["/sys/fs/cgroup/memory.stat"] = "active_file 50000\ninactive_file 200000\n"
     assert programs.available_memory() == 500000
     files["/sys/fs/cgroup/memory.max"] = "max\n"
     assert programs.available_memory() == 1024000
+    # a nested cgroup: the least headroom along its path to the root binds
+    files["/proc/self/cgroup"] = "0::/user.slice/app.scope\n"
+    files["/sys/fs/cgroup/user.slice/app.scope/memory.max"] = "900000\n"
+    files["/sys/fs/cgroup/user.slice/app.scope/memory.current"] = "100000\n"
+    assert programs.available_memory() == 800000
+    files["/sys/fs/cgroup/user.slice/memory.max"] = "400000\n"
+    files["/sys/fs/cgroup/user.slice/memory.current"] = "150000\n"
+    assert programs.available_memory() == 250000
     # with no bound to read, nothing is checked
     files.clear()
     assert programs.available_memory() is None
@@ -266,9 +278,9 @@ def test_top2_ratio_matches_svd_on_every_layer(arch):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("arch", ["gcn", "gcnii"])
-def test_top2_ratio_on_a_ring_where_lanczos_breaks_down(arch):
-    # a ring's kernels from K0 = I are circulant, so ones, the start vector,
-    # is an eigenvector and the first Lanczos step spans an invariant subspace
+def test_top2_ratio_on_a_ring(arch):
+    # a ring's kernels from K0 = I are circulant: ones is an eigenvector and
+    # every other eigenvalue comes twice, the second largest among them
     n = 40
     a = sym_operator(n, 0, 0)
     prog = KernelProgram.gcn(a, 20, sigma_b=0.1) if arch == "gcn" else KernelProgram.gcnii(a, 20)
@@ -280,24 +292,54 @@ def test_top2_ratio_on_a_ring_where_lanczos_breaks_down(arch):
         assert limits._top2_ratio(k) == got
 
 
+def doubled_top(n, seed):
+    # five nonzero eigenvalues, the largest twice: a Krylov space from any
+    # one start vector holds a single copy of it and is used up in 4 steps
+    q, _ = np.linalg.qr(random_features(n, n, seed))
+    eigenvalues = np.zeros(n)
+    eigenvalues[:5] = [3.0, 3.0, 1.0, 1.0, 0.5]
+    return (q * eigenvalues) @ q.T
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_top2_ratio_on_the_smallest_kernels(n):
+def test_top2_ratio_finds_a_doubled_top_eigenvalue(monkeypatch):
+    # the second copy of 3 comes only from the fresh directions drawn after
+    # the basis turns invariant; without them the ratio would be 1/3
+    drawn = []
+    draw = limits._random_direction
+    monkeypatch.setattr(limits, "_random_direction",
+                        lambda rng, basis: drawn.append(basis.shape[0]) or draw(rng, basis))
+    k = doubled_top(60, 1)
+    assert_ratio_close(limits._top2_ratio(k), 1.0)
+    assert drawn[0] == 0 and len(drawn) > 1
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n", [2, 3, 4, limits.LANCZOS_BASIS, limits.LANCZOS_BASIS + 1])
+def test_top2_ratio_on_small_kernels(n):
     # singular values are eigenvalue magnitudes; the indefinite matrix puts a
-    # negative eigenvalue second by magnitude
+    # negative eigenvalue second by magnitude.  Up to LANCZOS_BASIS nodes an
+    # SVD gives the ratio, above it the Lanczos solve
     q, _ = np.linalg.qr(random_features(n, n, n))
-    for eigenvalues in ([3.0, 2.0, 1.0, 0.5], [3.0, -2.0, 1.0, 0.5]):
-        k = (q * eigenvalues[:n]) @ q.T
+    for top in ([3.0, 2.0, 1.0, 0.5], [3.0, -2.0, 1.0, 0.5]):
+        eigenvalues = np.zeros(n)
+        eigenvalues[:4] = top[:n]
+        k = (q * eigenvalues) @ q.T
         assert_ratio_close(limits._top2_ratio(k), 2.0 / 3.0)
         assert_ratio_close(limits._top2_ratio(k), svd_ratio(k))
     assert np.isnan(limits._top2_ratio(np.zeros((n, n))))
 
 
 def test_top2_ratio_is_reproducible():
+    # the solve seeds its own directions, so earlier solves, those that drew
+    # fresh directions included, change no bit
     k = random_psd(150, 3)
+    doubled = doubled_top(60, 1)
     first = limits._top2_ratio(k)
+    first_doubled = limits._top2_ratio(doubled)
     assert limits._top2_ratio(k) == first
     assert limits._top2_ratio(k.copy()) == first
+    assert limits._top2_ratio(doubled) == first_doubled
 
 
 def test_observer_gaps_in_row_strips(monkeypatch):
