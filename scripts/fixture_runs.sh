@@ -1,0 +1,21 @@
+#!/bin/sh
+# Runs the command-line interface on the bundled fixture with every
+# RuntimeWarning made an error: a divide by zero or an invalid value inside a
+# run is a numerical fault even when the run exits 0.  Exits 1 at the first
+# run that fails.  Run it from the root of a source checkout:
+#
+#     sh scripts/fixture_runs.sh
+fixture=tests/data/fixture
+cli() { PYTHONPATH=src python -W error::RuntimeWarning -m graphgp.cli "$@" > /dev/null || exit 1; }
+cli infer --dataset $fixture
+for arch in gcnii gin sage mlp rbf ggp; do cli infer --dataset $fixture --arch $arch; done
+# every layered architecture runs through the pivoted Nystrom factor
+for arch in gcn gcnii gin sage mlp; do cli infer --dataset $fixture --arch $arch --path lowrank; done
+# a fixed nugget is a one-point search, alone and inside rbf's gamma search
+for path in exact lowrank; do cli infer --dataset $fixture --path $path --nugget 0.1; done
+cli infer --dataset $fixture --arch rbf --nugget 0.1
+cli depth-scan --dataset $fixture --arch gcn --layers 4 --nugget 0.1
+for arch in gcn gcnii mlp; do cli depth-scan --dataset $fixture --arch $arch --layers 20; done
+for arch in gcn gin; do
+  cli mc-verify --dataset $fixture --arch $arch --width 64 --samples 5
+done

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import LinAlgError, lapack
 
 from .kernels import FactorizationError, LowRankFactor
 
@@ -121,14 +121,29 @@ def _given_or_own(kernel_or_factor, train_idx, y_train, block, size: int):
 def _shifted(gram: np.ndarray, nugget: float) -> np.ndarray:
     """Fortran-ordered copy of ``gram`` with ``nugget`` added to its diagonal."""
     out = np.array(gram, order="F")
-    out[np.diag_indices_from(out)] += nugget
+    np.einsum("ii->i", out)[:] += nugget  # a writable view of the diagonal
     return out
 
 
-def _cho_shifted(gram: np.ndarray, nugget: float):
+def _cholesky(a: np.ndarray, overwrite: bool) -> np.ndarray:
+    """Upper Cholesky factor of ``a`` from LAPACK dpotrf, called as scipy's
+    ``cho_factor`` calls it; with ``overwrite`` it is made in place.  Raises
+    LinAlgError when ``a`` is not positive definite."""
+    c, info = lapack.dpotrf(a, lower=0, overwrite_a=overwrite, clean=0)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor of the array is not positive definite")
+    return c
+
+
+def _cho_shifted(gram: np.ndarray, nugget: float) -> np.ndarray:
     """Upper Cholesky factor of gram + nugget I, made in place on its own copy."""
-    return scipy.linalg.cho_factor(_shifted(gram, nugget), overwrite_a=True,
-                                   check_finite=False)
+    return _cholesky(_shifted(gram, nugget), overwrite=True)
+
+
+def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(c^T c)^{-1} b for an upper Cholesky factor c, from LAPACK dpotrs,
+    called as scipy's ``cho_solve`` calls it; ``b`` is not changed."""
+    return lapack.dpotrs(c, b, lower=0)[0]
 
 
 class ExactPosterior:
@@ -147,14 +162,14 @@ class ExactPosterior:
         gram, y = _given_or_own(kernel, train_idx, y_train, block, train_idx.size)
         try:
             factor = _cho_shifted(gram, nugget)
-        except scipy.linalg.LinAlgError:
+        except LinAlgError:
             # the failed factorization overwrote its copy: start again from gram
             kbb = _shifted(gram, nugget)
             jitter = JITTER_REL * np.trace(kbb) / kbb.shape[0]
-            kbb[np.diag_indices_from(kbb)] += jitter
+            np.einsum("ii->i", kbb)[:] += jitter
             try:
-                factor = scipy.linalg.cho_factor(kbb, check_finite=False)
-            except scipy.linalg.LinAlgError as err:
+                factor = _cholesky(kbb, overwrite=False)
+            except LinAlgError as err:
                 cond = np.linalg.cond(kbb)
                 raise FactorizationError(
                     f"training block is not positive definite even after jitter "
@@ -163,7 +178,7 @@ class ExactPosterior:
         self.kernel = kernel
         self.train_idx = train_idx
         self.nugget = float(nugget)
-        self._coef = scipy.linalg.cho_solve(factor, y, check_finite=False)
+        self._coef = _cho_solve(factor, y)
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
         """K[idx, train], which ``mean`` multiplies the coefficients by."""
@@ -188,7 +203,7 @@ class LowRankPosterior:
         self.factor = factor
         self.nugget = float(nugget)
         self._cho = _cho_shifted(gram, nugget)
-        self._coef = scipy.linalg.cho_solve(self._cho, qty, check_finite=False)
+        self._coef = _cho_solve(self._cho, qty)
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
         """Q[idx], which ``mean`` multiplies the coefficients by."""
@@ -198,10 +213,13 @@ class LowRankPosterior:
         return self._rows(idx) @ self._coef
 
     def variance(self, idx: np.ndarray) -> np.ndarray:
-        """Predictive variance diag; tiny negative roundoff clamps to zero."""
+        """Predictive variance diag; tiny negative roundoff clamps to zero.
+
+        As in ``mean``, the rows of ``idx`` are not checked for finiteness.
+        """
         idx = np.asarray(idx, dtype=np.int64)
         qs = self.factor.q[idx]
-        solved = scipy.linalg.cho_solve(self._cho, qs.T)
+        solved = _cho_solve(self._cho, qs.T)
         var = self.nugget * np.einsum("ij,ji->i", qs, solved)
         return np.maximum(var, 0.0)
 

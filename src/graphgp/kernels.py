@@ -22,13 +22,14 @@ The ReLU expectation uses the closed form
 so the diagonal is halved exactly and the correlation version
 f(rho) = (sin t + (pi - t) rho) / pi maps [-1, 1] into [0, 1].
 
-Memory: the dense ReLU expectation and GraphConv work in row tiles of about
-_TILE_ELEMENTS entries, writing into one preallocated output, so each holds
-its input, its output and (GraphConv only) the product A K at its peak,
-plus tile buffers; no other N x N temporary.  Run one after the other with
-the caller dropping each input, a dense layer peaks near 3 N x N arrays.
-The low-rank activation writes the ReLU expectation over the N x r
-landmark columns in place.
+Memory: the dense ReLU expectation works in row tiles of about
+_TILE_ELEMENTS entries, writing into one preallocated output, so it holds
+its input, its output and tile buffers; GraphConv holds its input, A K and
+the product, and transposes and symmetrises in place over square blocks.
+No other N x N temporary is made.  Run one after the other with the caller
+dropping each input, a dense layer peaks near 3 N x N arrays, its input
+included.  The low-rank activation writes the ReLU expectation over the
+N x r landmark columns in place.
 
 Passes: the dense ReLU expectation computes only the tiles on and above
 the diagonal and mirrors them below it; a unit Weight and a zero Bias
@@ -40,6 +41,7 @@ those of the untiled full-matrix expressions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -55,7 +57,8 @@ VAR_FLOOR_REL = 1e-12
 # stops once the largest Schur-complement diagonal is at or below
 # EIG_FLOOR_REL * max(diag); the directions left are dropped, none clamped.
 EIG_FLOOR_REL = 1e-10
-# Entries per row tile of the dense ReLU expectation and GraphConv.
+# Entries per row tile of the dense ReLU expectation; GraphConv's square
+# blocks hold a sixteenth as many.
 _TILE_ELEMENTS = 2**18
 
 
@@ -329,25 +332,40 @@ def relu_expectation(k: np.ndarray) -> np.ndarray:
     return _relu_gauss(k, d, np.arange(d.size), np.empty(k.shape), symmetric=True)
 
 
+def _square_blocks(n: int) -> list:
+    """Slices cutting range(n) into blocks of _TILE_ELEMENTS / 16 entries
+    squared (128 at the default): a block and its mirror stay in cache."""
+    side = max(1, math.isqrt(_TILE_ELEMENTS // 16))
+    return [slice(i, i + side) for i in range(0, n, side)]
+
+
 def _graph_conv(m, k: np.ndarray) -> np.ndarray:
     """Symmetrised A K A^T for a symmetric K, with A a sparse matrix.
 
-    A K is formed once and dropped after the product's row tiles are filled
-    from it; the symmetrisation 0.5 (X + X^T) runs in place over row strips.
+    X = A K is formed and transposed in place, one pair of square blocks at
+    a time; Z = A X is formed and X dropped, so besides ``k`` at most two
+    N x N arrays are alive.  Z is symmetrised in place, block pair by block
+    pair, as 0.5 (Z[r, c] + Z[c, r]^T).  The bits are those of the
+    whole-matrix 0.5 (Y + Y^T) with Y = (A (A K)^T)^T: the sparse product
+    sums each output entry in the same order whatever the width of its
+    dense operand, so Z = Y^T bit for bit, and each symmetrised entry adds
+    the same two terms, which commute.
     """
-    n = k.shape[0]
-    mk = m @ k
-    out = np.empty((n, n))
-    rows = _tile_rows(n)
-    for r0 in range(0, n, rows):
-        out[r0:r0 + rows] = (m @ mk[r0:r0 + rows].T).T  # rows of (A (A K)^T)^T
-    del mk
-    for r0 in range(0, n, rows):
-        r1 = r0 + rows
-        strip = 0.5 * (out[r0:r1, r0:] + out[r0:, r0:r1].T)
-        out[r0:r1, r0:] = strip
-        out[r0:, r0:r1] = strip.T
-    return out
+    x = m @ k
+    blocks = _square_blocks(k.shape[0])
+    for i, r in enumerate(blocks):
+        for c in blocks[i:]:
+            upper = x[r, c].copy()
+            x[r, c] = x[c, r].T
+            x[c, r] = upper.T
+    z = m @ x
+    del x
+    for i, r in enumerate(blocks):
+        for c in blocks[i:]:
+            s = 0.5 * (z[r, c] + z[c, r].T)
+            z[r, c] = s
+            z[c, r] = s.T
+    return z
 
 
 # ---------------------------------------------------------------------------

@@ -156,19 +156,22 @@ def _layer(prog: KernelProgram, layer: int, c, skip, apply: Callable):
                   MixedWeight(1.0 - beta, beta, prog.sigma_w))
 
 
-def _drive(program: KernelProgram, rep0, apply: Callable,
+def _drive(program: KernelProgram, held: list, apply: Callable,
            on_layer: Optional[Callable] = None):
-    """Fold the program's layers over ``rep0``; a failing layer names itself.
+    """Fold the program's layers over the representation in ``held``, a
+    one-element list that is emptied; a failing layer names itself.
 
     Each layer but the first starts with its activation, applied here so
     that the previous layer's output is released before the layer's
     GraphConv runs.  Only the current representation (and the gcnii skip)
-    stays alive: on the dense path a layer peaks near 3 N x N arrays (4 for
-    gcnii and sage), not counting ``rep0`` or kernels an observer keeps.
+    stays alive, and the starting one is dropped once layer 1 (and the
+    gcnii skip) has used it, unless the caller keeps its own reference: on
+    the dense path a layer peaks near 3 N x N arrays (4 for gcnii and
+    sage), K0 included, not counting kernels an observer keeps.
     ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
     """
-    skip = apply(rep0, Weight(program.alpha)) if program.uses_initial_skip else None
-    rep = rep0
+    rep = held.pop()
+    skip = apply(rep, Weight(program.alpha)) if program.uses_initial_skip else None
     for layer in range(program.depth):
         try:
             if layer > 0:
@@ -183,19 +186,29 @@ def _drive(program: KernelProgram, rep0, apply: Callable,
     return rep
 
 
-def run_exact(program: KernelProgram, k0: np.ndarray,
+def run_exact(program: KernelProgram, k0,
               on_layer: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
     """Final dense kernel K^(depth); ``on_layer(l, K^(l))`` sees every layer.
 
+    ``k0`` is the base kernel, or a one-element list holding it.  A list is
+    emptied, which hands K0 over: run_exact then holds its only reference
+    and drops it after layer 1, so K0 counts towards the 3 N x N arrays of
+    a layer's peak and not on top of them.  A caller's array argument, by
+    contrast, stays alive until the call returns (on Python 3.10 even the
+    unnamed result of an expression does), and so does K0 with it.
+
     A unit weight and a zero bias pass their input on, so mlp at depth 1
-    with sigma_w = 1 and sigma_b = 0 returns ``k0`` itself.
+    with sigma_w = 1 and sigma_b = 0 returns K0 itself.
     """
-    k0 = np.asarray(k0, dtype=np.float64)
-    if k0.shape != (program.a.n_nodes, program.a.n_nodes):
+    held = k0 if isinstance(k0, list) else [k0]
+    del k0
+    held[0] = np.asarray(held[0], dtype=np.float64)
+    n = program.a.n_nodes
+    if held[0].shape != (n, n):
         raise ValueError(
-            f"base kernel shape {k0.shape} does not match operator size {program.a.n_nodes}"
+            f"base kernel shape {held[0].shape} does not match operator size {n}"
         )
-    return _drive(program, k0, apply_block_exact, on_layer)
+    return _drive(program, held, apply_block_exact, on_layer)
 
 
 def _read(path: str) -> Optional[str]:
@@ -239,12 +252,12 @@ def available_memory() -> Optional[int]:
     return min(bounds) if bounds else None
 
 
-def require_memory(n_nodes: int, n_arrays: float, what: str) -> None:
+def require_memory(n_nodes: int, n_arrays: float, what: str, remedy: str = "") -> None:
     """Raise ValueError when ``n_arrays`` N x N float64 arrays will not fit.
 
     Meant to run before the first N x N allocation of a dense computation;
     it compares n_arrays * N^2 * 8 bytes with ``available_memory()`` and
-    checks nothing when no bound can be read.
+    checks nothing when no bound can be read.  ``remedy`` ends the message.
     """
     need = 8.0 * n_arrays * n_nodes**2
     avail = available_memory()
@@ -252,6 +265,7 @@ def require_memory(n_nodes: int, n_arrays: float, what: str) -> None:
         raise ValueError(
             f"{what} on {n_nodes} nodes needs about {n_arrays:g} N x N arrays "
             f"({need / 2**30:.2f} GiB), but only {avail / 2**30:.2f} GiB is available"
+            f"{remedy}"
         )
 
 
@@ -280,4 +294,4 @@ def lowrank_variant(program: KernelProgram, q0: LowRankFactor,
         raise ValueError(
             f"factor size {q0.n} does not match operator size {program.a.n_nodes}"
         )
-    return _drive(program, q0, lambda q, b: apply_block_lowrank(q, b, landmarks))
+    return _drive(program, [q0], lambda q, b: apply_block_lowrank(q, b, landmarks))

@@ -59,6 +59,14 @@ ARCH_CHOICES = ("gcn", "gcnii", "gin", "sage", "ggp", "mlp", "rbf")
 PATH_CHOICES = ("exact", "lowrank")
 ROW_NORMALIZED = ("sage", "ggp")
 GAMMA_GRID = tuple(np.logspace(-2, 2, 9))
+# N x N float64 arrays an exact-path infer holds at its peak, K0 included:
+# a layer's input, A K and the product (3), plus the gcnii skip or sage's
+# second branch; ggp's one GraphConv is a layer, and rbf builds each
+# candidate kernel (2) beside the best fit's.  Traced runs at N = 1000, with
+# tile buffers of 2^14 entries, peaked at 3.00-3.09, and at 4.00 for gcnii
+# and sage.
+INFER_PEAK_NN = {"gcn": 3.1, "gin": 3.1, "mlp": 3.1, "ggp": 3.1, "rbf": 3.1,
+                 "gcnii": 4.1, "sage": 4.1}
 
 
 @dataclass
@@ -212,19 +220,25 @@ def _build_representation(cfg: RunConfig, a, feats, sigma_b: float,
     """The run's kernel: dense array (exact) or LowRankFactor (lowrank).
 
     Both start from the base covariance: rbf returns it, ggp applies one
-    GraphConv, and the layered architectures run their program on it."""
+    GraphConv, and the layered architectures run their program on it.  On
+    the exact path K0 is handed to ``run_exact`` in a list, so that it can
+    be released after layer 1."""
     base_fn = _base_callable(cfg, gamma)
     if cfg.path == "exact":
-        rep, apply, run = base_fn(feats), apply_block_exact, run_exact
+        rep, apply = base_fn(feats), apply_block_exact
     else:
         rep = nystrom_start(feats, landmarks, base_fn)
         apply = partial(apply_block_lowrank, landmarks=landmarks)
-        run = partial(lowrank_variant, landmarks=landmarks)
     if cfg.arch == "rbf":
         return rep
     if cfg.arch == "ggp":
         return apply(rep, GraphConv(a))
-    return run(_program_for(cfg, a, sigma_b), rep)
+    program = _program_for(cfg, a, sigma_b)
+    if cfg.path == "lowrank":
+        return lowrank_variant(program, rep, landmarks)
+    held = [rep]
+    del rep
+    return run_exact(program, held)
 
 
 def _predict_and_score(fit, ds: Dataset, names: tuple, phases: _Phases):
@@ -274,6 +288,10 @@ def run_infer(cfg: RunConfig) -> Report:
         landmarks = _pick_landmarks(cfg, ds.splits.train, ds.n_nodes)
     feats = _preprocess(cfg, ds, landmarks.count if landmarks else None)
     a = _operator_for(cfg.arch, ds)
+    if cfg.path == "exact":
+        # fail before K0, the first N x N array, is made; the count includes it
+        require_memory(ds.n_nodes, INFER_PEAK_NN[cfg.arch], "infer --path exact",
+                       "; --path lowrank needs no N x N array")
 
     # hyperparameter candidates: the rbf baseline grid-searches gamma
     if cfg.arch == "rbf" and cfg.gamma is None:
@@ -293,6 +311,7 @@ def run_infer(cfg: RunConfig) -> Report:
         score = max(s for _, s in trace)
         if best is None or score > best[2]:
             best = (fit, gamma, score)
+        del rep, fit  # the next build runs beside the best fit's kernel alone
     fit, gamma, _ = best
 
     predictions, metrics = _predict_and_score(fit, ds, ("train", "val", "test"), phases)
@@ -436,7 +455,8 @@ def run_mc_verify(cfg: RunConfig) -> Report:
 
 
 def run_benchmark(cfg: RunConfig) -> Report:
-    """Low-rank kernel-build time against graph size; median of repeats."""
+    """Low-rank kernel-build time against graph size; median of repeats,
+    which interleave the sizes."""
     cfg.validate()
     if len(set(cfg.sizes)) < 2:
         raise ValueError(
@@ -464,15 +484,16 @@ def run_benchmark(cfg: RunConfig) -> Report:
     # builds pay one-off costs (heap growth, library buffers); untouched, they
     # land on the size timed first and bias the slope low.
     build(*max(cases, key=lambda c: c[0])[1:])
-    rows = []
-    for n, ds, landmarks, program in cases:
-        times = []
-        for _ in range(cfg.repeats):
+    # Each repeat times every size once, so a slow phase of the host spreads
+    # over all sizes instead of bending the slope.
+    times = [[] for _ in cases]
+    for _ in range(cfg.repeats):
+        for (_, ds, landmarks, program), case_times in zip(cases, times):
             start = time.perf_counter()
             build(ds, landmarks, program)
-            times.append(time.perf_counter() - start)
-        m_plus_n = ds.graph.n_edges // 2 + n
-        rows.append((n, m_plus_n, float(np.median(times)), times))
+            case_times.append(time.perf_counter() - start)
+    rows = [(n, ds.graph.n_edges // 2 + n, float(np.median(t)), t)
+            for (n, ds, _, _), t in zip(cases, times)]
 
     sizes = np.array([r[1] for r in rows], dtype=np.float64)  # m + n
     medians = np.array([r[2] for r in rows])

@@ -6,6 +6,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,7 +29,7 @@ from graphgp import (
     save_dataset,
     synthetic_dataset,
 )
-from graphgp import runners
+from graphgp import kernels, programs, runners
 from graphgp.cli import main
 from graphgp.runners import ARCH_CHOICES, RunConfig, run_benchmark
 
@@ -425,6 +426,22 @@ def test_benchmark_needs_a_repeat(capsys):
     assert "repeats must be at least 1" in err
 
 
+def test_benchmark_repeats_interleave_the_sizes(monkeypatch):
+    built = []
+    real = runners.lowrank_variant
+
+    def recording(program, q0, landmarks):
+        built.append(q0.n)
+        return real(program, q0, landmarks)
+
+    monkeypatch.setattr(runners, "lowrank_variant", recording)
+    rep = run_benchmark(RunConfig(sizes=(100, 300, 200), landmarks=16, repeats=3))
+    # one untimed build at the largest size, then one pass over every size per repeat
+    assert built == [300] + [100, 300, 200] * 3
+    scaling, = rep.tables
+    assert [len(row[3].split("|")) for row in scaling.rows] == [3, 3, 3]
+
+
 @pytest.mark.parametrize("command", ["benchmark", "depth-scan", "mc-verify"])
 def test_benchmark_times_the_chosen_arch(command, capsys):
     # the commands that run a layered program reject ggp and rbf alike
@@ -489,3 +506,63 @@ def test_nugget_grid_needs_a_point(capsys):
     )
     assert code == 1
     assert "POINTS >= 1" in err
+
+
+def preloaded(monkeypatch, n, **kwargs):
+    """A RunConfig whose dataset is a synthetic graph already in memory, so
+    that a traced run_infer makes nothing but its own arrays."""
+    ds = synthetic_dataset(n, n_features=16, n_classes=2, seed=0)
+    monkeypatch.setattr(runners, "load_dataset", lambda path: ds)
+    return RunConfig(dataset="preloaded", **kwargs)
+
+
+# peak of an exact-path infer in N x N float64 arrays, with K0 made inside the
+# traced window: the runner hands K0 over and run_exact drops it after layer 1,
+# so a layer's input, A K and the product (plus the gcnii skip, or sage's
+# second branch) include it; rbf builds each candidate beside the best fit's
+# kernel alone
+@pytest.mark.parametrize("arch, depth, bound", [
+    ("gcn", 2, 3.1), ("gcn", 8, 3.1), ("gin", 2, 3.1), ("gin", 8, 3.1),
+    ("mlp", 2, 3.1), ("mlp", 8, 3.1), ("gcnii", 2, 4.1), ("gcnii", 8, 4.1),
+    ("sage", 2, 4.1), ("sage", 8, 4.1), ("ggp", 2, 3.1), ("rbf", 2, 3.1),
+])
+def test_infer_exact_peak_memory_counts_k0(monkeypatch, arch, depth, bound):
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    n = 1000
+    # non-unit weights and a bias, so that no block hands its input back
+    cfg = preloaded(monkeypatch, n, arch=arch, layers=depth, sigma_w=1.2, sigma_b=0.1,
+                    sigma_w1=0.5)
+    tracemalloc.start()
+    try:
+        runners.run_infer(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= bound
+
+
+@pytest.mark.parametrize("arch", ["gcn", "gcnii", "rbf"])
+def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
+    # one byte short of the estimate: infer fails before K0 is made, so
+    # nothing near an N x N array is allocated; exactly enough runs
+    n = 500
+    cfg = preloaded(monkeypatch, n, arch=arch)
+    count = runners.INFER_PEAK_NN[arch]
+    need = math.ceil(8.0 * count * n**2)
+    monkeypatch.setattr(programs, "available_memory", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                f"infer --path exact on 500 nodes needs about {count:g} N x N arrays "
+                r".*; --path lowrank needs no N x N array$")):
+            runners.run_infer(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= 0.1
+    monkeypatch.setattr(programs, "available_memory", lambda: need)
+    assert runners.run_infer(cfg).scalars["n_nodes"] == n
+    # the factor path makes no N x N array and is not checked
+    monkeypatch.setattr(programs, "available_memory", lambda: 0)
+    cfg.path = "lowrank"
+    assert runners.run_infer(cfg).scalars["path"] == "lowrank"

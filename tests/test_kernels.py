@@ -401,6 +401,29 @@ def test_tiled_graphconv_matches_untiled(monkeypatch, operator):
     assert np.array_equal(got, got.T)
 
 
+@pytest.mark.parametrize("operator", [sym_operator, row_operator])
+@pytest.mark.parametrize("n, side", [
+    (53, 5),    # 10 blocks of 5, then 3
+    (50, 5),    # blocks end on the last row
+    (7, 1),     # one-entry blocks
+    (8, 16),    # one block, larger than the kernel
+    (300, 128), # the default blocks: 2 of 128, then 44
+])
+def test_graphconv_is_the_whole_matrix_expression(monkeypatch, operator, n, side):
+    # the in-place blocked transpose and symmetrisation give the bits of
+    # 0.5 (Y + Y^T) with Y = (A (A K)^T)^T, the sparse products made whole
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 16 * side * side)
+    assert kernels._square_blocks(n)[0] == slice(0, side)
+    m = operator(n, extra=n // 2, seed=5).to_csr()
+    for k in (random_psd(n, 9), base_inner(random_features(n, 3, seed=1))):
+        y = (m @ (m @ k).T).T
+        before = k.copy()
+        got = kernels._graph_conv(m, k)
+        assert np.array_equal(got, 0.5 * (y + y.T))
+        assert np.array_equal(got, got.T)
+        assert np.array_equal(k, before)
+
+
 # ---------------------------------------------------------------------------
 # passes: the dense ReLU expectation fills the upper tiles and mirrors them;
 # identity blocks hand back their input
