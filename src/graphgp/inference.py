@@ -8,7 +8,9 @@ posterior mean is
 
 (the two coincide when K = Q Q^T), and the low-rank predictive variance is
 
-    var = eps * diag( Q_* (Q_b^T Q_b + eps I)^{-1} Q_*^T ).
+    var = eps * diag( Q_* (Q_b^T Q_b + eps I)^{-1} Q_*^T ) = eps ||Q_* U^{-1}||^2
+
+row by row, with U the upper Cholesky factor of Q_b^T Q_b + eps I.
 
 Classification runs C independent regressions against one-hot targets and
 takes the channel argmax (a single class is predicted everywhere).  Both
@@ -213,15 +215,17 @@ class LowRankPosterior:
         return self._rows(idx) @ self._coef
 
     def variance(self, idx: np.ndarray) -> np.ndarray:
-        """Predictive variance diag; tiny negative roundoff clamps to zero.
+        """Predictive variance diag, eps ||q U^{-1}||^2 for each row q of
+        Q[idx], with U^T U = Q_b^T Q_b + eps I.
 
-        As in ``mean``, the rows of ``idx`` are not checked for finiteness.
+        U^{-1} comes from LAPACK dtrtri on the r x r factor, and one product
+        gives every row, so the result is a sum of squares and never
+        negative.  As in ``mean``, the rows of ``idx`` are not checked for
+        finiteness.
         """
-        idx = np.asarray(idx, dtype=np.int64)
-        qs = self.factor.q[idx]
-        solved = _cho_solve(self._cho, qs.T)
-        var = self.nugget * np.einsum("ij,ji->i", qs, solved)
-        return np.maximum(var, 0.0)
+        inv, _ = lapack.dtrtri(self._cho, lower=0)
+        w = self._rows(idx) @ np.triu(inv)
+        return self.nugget * np.einsum("ij,ij->i", w, w)
 
 
 def fit_posterior(kernel_or_factor, train_idx: np.ndarray,

@@ -12,7 +12,8 @@ when the landmarks span the kernel's range.  The Nystrom factor comes from a
 pivoted Cholesky factorization of the landmark block (``chol_factor``), so
 its width is the block's numerical rank: at most the landmark count, and
 less when the block is rank-deficient, as it is for inner-product base
-features with fewer features than landmarks.
+features with fewer features than landmarks.  The block is factored first;
+only its pivot columns are then formed over all N nodes.
 
 The ReLU expectation uses the closed form
 
@@ -22,14 +23,17 @@ The ReLU expectation uses the closed form
 so the diagonal is halved exactly and the correlation version
 f(rho) = (sin t + (pi - t) rho) / pi maps [-1, 1] into [0, 1].
 
-Memory: the dense ReLU expectation works in row tiles of about
-_TILE_ELEMENTS entries, writing into one preallocated output, so it holds
-its input, its output and tile buffers; GraphConv holds its input, A K and
-the product, and transposes and symmetrises in place over square blocks.
-No other N x N temporary is made.  Run one after the other with the caller
+Memory: the ReLU expectation works in row tiles of about _TILE_ELEMENTS
+entries, writing into one preallocated output, so it holds its input, its
+output and three tile buffers; GraphConv holds its input, A K and the
+product, and transposes and symmetrises in place over square blocks.  No
+other N x N temporary is made.  Run one after the other with the caller
 dropping each input, a dense layer peaks near 3 N x N arrays, its input
-included.  The low-rank activation writes the ReLU expectation over the
-N x r landmark columns in place.
+included.  The low-rank activation factors the r x r landmark block
+g(Q[a] Q[a]^T) first, then forms the k <= r pivot columns g(Q Q[S]^T),
+writes the ReLU expectation over them in place and multiplies them by
+L^{-T} in place, one row tile at a time; so it holds its input Q and one
+N x k array, and a low-rank layer peaks near 2 N x r arrays.
 
 Passes: the dense ReLU expectation computes only the tiles on and above
 the diagonal and mirrors them below it; a unit Weight and a zero Bias
@@ -43,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.linalg import lapack
@@ -274,33 +278,43 @@ def _tile_rows(n_cols: int) -> int:
 
 
 def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
-                out: np.ndarray, symmetric: bool = False) -> np.ndarray:
-    """ReLU expectation of the columns K[:, idx], given K's diagonal ``d``.
+                out: np.ndarray, symmetric: bool = False,
+                var_floor: Optional[float] = None) -> np.ndarray:
+    """ReLU expectation of the columns K[:, idx], given the row variances ``d``.
 
     Writes into ``out`` (which may be ``k_cols`` itself) row tile by row
-    tile and returns it.  A node with variance at or below VAR_FLOOR_REL *
-    max(d) has no signal to propagate and gets zero rows and columns; each
-    node's entry with itself, out[idx[j], j], is exactly half its variance
-    (arccos would round).  The dense path passes ``idx = arange(N)`` and
-    ``symmetric``: each row tile then starts at the diagonal, so only the
-    upper triangle of ``k_cols`` is read, and is mirrored below it.
+    tile and returns it; three tile buffers, allocated once, hold every
+    temporary.  A node with variance at or below ``var_floor`` (by default
+    VAR_FLOOR_REL * max(d)) has no signal to propagate and gets zero rows
+    and columns; a caller that passes only some rows passes the floor of
+    the whole kernel.  Each node's entry with itself, out[idx[j], j], is
+    exactly half its variance (arccos would round).  The dense path passes
+    ``idx = arange(N)`` and ``symmetric``: each row tile then starts at the
+    diagonal, so only the upper triangle of ``k_cols`` is read, and is
+    mirrored below it.
     """
-    var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
+    if var_floor is None:
+        var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
     d_cols = d[idx]
     alive_r = d > var_floor
     alive_c = d_cols > var_floor
     sr = np.sqrt(np.where(alive_r, d, 1.0))
     sc = np.sqrt(np.where(alive_c, d_cols, 1.0))
     rows = _tile_rows(sc.size)
+    size = min(rows, sr.size) * sc.size
+    denom_buf, t_buf, sin_buf = np.empty(size), np.empty(size), np.empty(size)
     for r0 in range(0, sr.size, rows):
         r1 = r0 + rows
         c0 = r0 if symmetric else 0
         rho = out[r0:r1, c0:]
-        denom = np.outer(sr[r0:r1], sc[c0:])
+        denom = denom_buf[:rho.size].reshape(rho.shape)
+        t = t_buf[:rho.size].reshape(rho.shape)
+        sin_t = sin_buf[:rho.size].reshape(rho.shape)
+        np.multiply(sr[r0:r1, None], sc[None, c0:], out=denom)
         np.divide(k_cols[r0:r1, c0:], denom, out=rho)
         np.clip(rho, -1.0, 1.0, out=rho)
-        t = np.arccos(rho)
-        sin_t = np.sin(t)
+        np.arccos(rho, out=t)
+        np.sin(t, out=sin_t)
         np.subtract(np.pi, t, out=t)  # the order of the untiled expression:
         t *= rho                      # (0.5 / pi) * denom * (sin t + (pi - t) rho)
         t += sin_t
@@ -372,29 +386,36 @@ def _graph_conv(m, k: np.ndarray) -> np.ndarray:
 # Nystrom factor
 
 
-def chol_factor(c_cols: np.ndarray, c_landmark: np.ndarray) -> LowRankFactor:
+def chol_factor(c_landmark: np.ndarray,
+                columns: Callable[[np.ndarray], np.ndarray]) -> LowRankFactor:
     """Factor P = C[:, S] L^{-T} with P P^T the Nystrom reconstruction.
 
-    A pivoted Cholesky factorization (LAPACK ``dpstrf``) of the landmark
-    block picks the landmarks S one by one, each time the one with the
-    largest Schur-complement diagonal, and stops when that diagonal falls
-    to EIG_FLOOR_REL * max(diag C[a, a]) or below; C[S, S] = L L^T.  The
-    factor therefore has one column per numerically present direction,
-    its rank k, and no more: directions below the floor are dropped, not
-    clamped.  L^{-T}, scattered into the rows S of an r x k matrix M, turns
-    the product into one gemm, P = C[:, a] M.  A block with no positive
-    diagonal entry cannot be factored and raises.
+    A pivoted Cholesky factorization (LAPACK ``dpstrf``) of the r x r
+    landmark block C[a, a] picks the landmarks S one by one, each time the
+    one with the largest Schur-complement diagonal, and stops when that
+    diagonal falls to EIG_FLOOR_REL * max(diag C[a, a]) or below;
+    C[S, S] = L L^T.  The factor therefore has one column per numerically
+    present direction, its rank k, and no more: directions below the floor
+    are dropped, not clamped.  A block with no positive diagonal entry
+    cannot be factored and raises.
+
+    Only then are the N x k pivot columns formed, by ``columns(piv)``,
+    which gets the positions of S within the landmark set, in pivot order,
+    and returns C[:, a[piv]] as a fresh array.  That array is multiplied by
+    L^{-T} in place, in row tiles, and becomes the factor, so the re-factor
+    holds one N x k array, never the N x r landmark columns; an array of
+    one tile is multiplied whole instead, which holds no more.
 
     Restricted to the landmark rows, P P^T reproduces C[a, a] up to the
     dropped directions, so to roundoff when no pivot falls below the floor.
     """
-    c_cols = np.asarray(c_cols, dtype=np.float64)
     c_landmark = np.asarray(c_landmark, dtype=np.float64)
     if c_landmark.ndim != 2 or c_landmark.shape[0] != c_landmark.shape[1]:
         raise ValueError("landmark block must be square")
-    if c_cols.ndim != 2 or c_cols.shape[1] != c_landmark.shape[0]:
-        raise ValueError("column block width must match the landmark block")
-    sym = 0.5 * (c_landmark + c_landmark.T)
+    # bitwise symmetric, so its transpose is a Fortran-ordered array with the
+    # same entries, which dpstrf factors in place
+    sym = c_landmark + c_landmark.T
+    sym *= 0.5
     if not np.isfinite(sym).all():
         raise FactorizationError("landmark block has non-finite entries")
     d_max = sym.diagonal().max()
@@ -404,12 +425,24 @@ def chol_factor(c_cols: np.ndarray, c_landmark: np.ndarray) -> LowRankFactor:
             f"(largest diagonal entry {d_max:.3e})",
             eigenvalue=float(d_max),
         )
-    chol, piv, rank, _ = lapack.dpstrf(sym, tol=EIG_FLOOR_REL * d_max, lower=1,
+    chol, piv, rank, _ = lapack.dpstrf(sym.T, tol=EIG_FLOOR_REL * d_max, lower=1,
                                        overwrite_a=1)
     inv, _ = lapack.dtrtri(chol[:rank, :rank], lower=1, overwrite_c=1)
-    m = np.zeros((sym.shape[0], rank))
-    m[piv[:rank] - 1] = np.tril(inv).T
-    return LowRankFactor(c_cols @ m)
+    inv_t = np.tril(inv).T
+    del sym, chol, inv  # only L^{-T} is needed beside the N x k columns
+    p = columns(piv[:rank] - 1)
+    if p.ndim != 2 or p.shape[1] != rank:
+        raise ValueError(f"pivot column block of shape {p.shape} does not have "
+                         f"the factor's width {rank}")
+    # numpy's gemm, not scipy's dtrmm or dtrsm: numpy and scipy each load
+    # their own OpenBLAS, and alternating thread pools stalls the small
+    # builds under default threads
+    rows = _tile_rows(rank)
+    if p.shape[0] <= rows:  # one tile: its product is the factor, with no copy back
+        return LowRankFactor(p @ inv_t)
+    for r0 in range(0, p.shape[0], rows):
+        p[r0:r0 + rows] = p[r0:r0 + rows] @ inv_t
+    return LowRankFactor(p)
 
 
 # ---------------------------------------------------------------------------
@@ -476,10 +509,20 @@ def apply_block_lowrank(
         idx = landmarks.indices
         if idx[-1] >= factor.n:
             raise ValueError("landmark index out of range for this factor")
-        q = factor.q
-        k_cols = q @ q[idx].T
-        c_cols = _relu_gauss(k_cols, factor.gram_diag(), idx, out=k_cols)
-        return chol_factor(c_cols, c_cols[idx])
+        q, d = factor.q, factor.gram_diag()
+        var_floor = VAR_FLOOR_REL * d.max()
+        anchors = q[idx]
+        block = anchors @ anchors.T
+        del anchors
+        _relu_gauss(block, d[idx], np.arange(idx.size), out=block, symmetric=True,
+                    var_floor=var_floor)
+
+        def columns(piv):
+            cols = idx[piv]
+            k_cols = q @ q[cols].T
+            return _relu_gauss(k_cols, d, cols, out=k_cols, var_floor=var_floor)
+
+        return chol_factor(block, columns)
     if isinstance(block, IndependentAdd):
         other = block.other
         if not isinstance(other, LowRankFactor):

@@ -128,31 +128,38 @@ class KernelProgram:
 # the recipe and its driver
 
 
-def _chain(apply: Callable, rep, *blocks):
+def _chain(apply: Callable, held: list, *blocks):
+    """Apply ``blocks`` in turn to the representation in ``held``, a
+    one-element list that is emptied, so each block's input is released
+    once the next block has its output."""
+    rep = held.pop()
     for block in blocks:
         rep = apply(rep, block)
     return rep
 
 
-def _layer(prog: KernelProgram, layer: int, c, skip, apply: Callable):
+def _layer(prog: KernelProgram, layer: int, held: list, skip, apply: Callable):
     """One layer of the program, written once against ``apply(rep, block)``.
 
-    ``c`` is the layer's input after its activation, which ``_drive`` applies.
+    ``held`` is a one-element list with the layer's input after its
+    activation, which ``_drive`` applies; the layer empties it.
     """
     conv = GraphConv(prog.a)
     if prog.architecture == "mlp":
-        return _chain(apply, c, Weight(prog.sigma_w), Bias(prog.sigma_b))
+        return _chain(apply, held, Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "gcn":
-        return _chain(apply, c, conv, Weight(prog.sigma_w), Bias(prog.sigma_b))
+        return _chain(apply, held, conv, Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "gin":
         # the inner Activation is a true pre-activation, so it always applies
-        return _chain(apply, c, conv, Weight(prog.sigma_w), Bias(prog.sigma_b),
+        return _chain(apply, held, conv, Weight(prog.sigma_w), Bias(prog.sigma_b),
                       Activation(), Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "sage":
-        neigh = _chain(apply, c, conv, Weight(prog.sigma_w2))
-        return _chain(apply, c, Weight(prog.sigma_w1), IndependentAdd(neigh))
+        # the input feeds both branches: the neighbour branch gets a second
+        # list, and the self branch takes the input over
+        neigh = _chain(apply, [held[0]], conv, Weight(prog.sigma_w2))
+        return _chain(apply, held, Weight(prog.sigma_w1), IndependentAdd(neigh))
     beta = prog.beta_schedule[layer]
-    return _chain(apply, c, conv, Weight(1.0 - prog.alpha), IndependentAdd(skip),
+    return _chain(apply, held, conv, Weight(1.0 - prog.alpha), IndependentAdd(skip),
                   MixedWeight(1.0 - beta, beta, prog.sigma_w))
 
 
@@ -163,27 +170,31 @@ def _drive(program: KernelProgram, held: list, apply: Callable,
 
     Each layer but the first starts with its activation, applied here so
     that the previous layer's output is released before the layer's
-    GraphConv runs.  Only the current representation (and the gcnii skip)
+    GraphConv runs.  Each layer's input goes on to it in ``held``, so it is
+    released once the layer's first block (GraphConv, or the first Weight)
+    has used it; only the current representation (and the gcnii skip)
     stays alive, and the starting one is dropped once layer 1 (and the
-    gcnii skip) has used it, unless the caller keeps its own reference: on
-    the dense path a layer peaks near 3 N x N arrays (4 for gcnii and
-    sage), K0 included, not counting kernels an observer keeps.
+    gcnii skip) has used it, unless the caller keeps its own reference.  On
+    the dense path a layer peaks near 3 N x N arrays (4 for gcnii), K0
+    included, not counting kernels an observer keeps.  On the
+    low-rank path it peaks near 2 N x r arrays: the Activation's input
+    beside the new factor, GraphConv's input beside A P, and Bias's
+    appended copy beside A P alone.
     ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
     """
-    rep = held.pop()
-    skip = apply(rep, Weight(program.alpha)) if program.uses_initial_skip else None
+    skip = apply(held[0], Weight(program.alpha)) if program.uses_initial_skip else None
     for layer in range(program.depth):
         try:
             if layer > 0:
-                rep = apply(rep, Activation())
-            rep = _layer(program, layer, rep, skip, apply)
+                held.append(apply(held.pop(), Activation()))
+            held.append(_layer(program, layer, held, skip, apply))
         except FactorizationError as err:
             raise FactorizationError(
                 f"layer {layer + 1}: {err}", eigenvalue=err.eigenvalue
             ) from err
         if on_layer is not None:
-            on_layer(layer + 1, rep)
-    return rep
+            on_layer(layer + 1, held[0])
+    return held.pop()
 
 
 def run_exact(program: KernelProgram, k0,
@@ -273,25 +284,29 @@ def nystrom_start(features, landmarks: LandmarkSet,
                   kernel: Callable = base_inner) -> LowRankFactor:
     """Landmark factor of the base covariance without forming it densely.
 
-    Its rank is the numerical rank of the landmark block: at most the
-    feature count for ``base_inner``.
+    Its rank k is the numerical rank of the landmark block: at most the
+    feature count for ``base_inner``.  The block is factored first, and
+    only the k pivot columns ``kernel(features, anchors[piv])`` are formed.
     """
     features = np.asarray(features, dtype=np.float64)
     anchors = features[landmarks.indices]
-    return chol_factor(kernel(features, anchors), kernel(anchors))
+    return chol_factor(kernel(anchors), lambda piv: kernel(features, anchors[piv]))
 
 
-def lowrank_variant(program: KernelProgram, q0: LowRankFactor,
+def lowrank_variant(program: KernelProgram, q0,
                     landmarks: LandmarkSet) -> LowRankFactor:
     """Run the program on a factor; a failing layer names itself.
 
-    The rank stays bounded: every activation resets the basis to at most
-    the landmark count (the numerical rank of the landmark block), bias
-    adds one column when sigma_b > 0, and the gcnii skip re-adds rank(Q0)
-    columns per layer.
+    ``q0`` is the start factor, or a one-element list holding it, which is
+    emptied and so handed over, as ``run_exact`` takes K0.  The rank stays
+    bounded: every activation resets the basis to at most the landmark
+    count (the numerical rank of the landmark block), bias adds one column
+    when sigma_b > 0, and the gcnii skip re-adds rank(Q0) columns per layer.
     """
-    if q0.n != program.a.n_nodes:
+    held = q0 if isinstance(q0, list) else [q0]
+    del q0
+    if held[0].n != program.a.n_nodes:
         raise ValueError(
-            f"factor size {q0.n} does not match operator size {program.a.n_nodes}"
+            f"factor size {held[0].n} does not match operator size {program.a.n_nodes}"
         )
-    return _drive(program, [q0], lambda q, b: apply_block_lowrank(q, b, landmarks))
+    return _drive(program, held, lambda q, b: apply_block_lowrank(q, b, landmarks))

@@ -60,13 +60,13 @@ PATH_CHOICES = ("exact", "lowrank")
 ROW_NORMALIZED = ("sage", "ggp")
 GAMMA_GRID = tuple(np.logspace(-2, 2, 9))
 # N x N float64 arrays an exact-path infer holds at its peak, K0 included:
-# a layer's input, A K and the product (3), plus the gcnii skip or sage's
-# second branch; ggp's one GraphConv is a layer, and rbf builds each
+# a layer's input, A K and the product (3), plus the gcnii skip; sage's
+# neighbour branch is made before its self branch takes the input over, so
+# it stays at 3.  ggp's one GraphConv is a layer, and rbf builds each
 # candidate kernel (2) beside the best fit's.  Traced runs at N = 1000, with
-# tile buffers of 2^14 entries, peaked at 3.00-3.09, and at 4.00 for gcnii
-# and sage.
+# tile buffers of 2^14 entries, peaked at 3.00-3.02, and at 4.02 for gcnii.
 INFER_PEAK_NN = {"gcn": 3.1, "gin": 3.1, "mlp": 3.1, "ggp": 3.1, "rbf": 3.1,
-                 "gcnii": 4.1, "sage": 4.1}
+                 "gcnii": 4.1, "sage": 3.1}
 
 
 @dataclass
@@ -220,9 +220,9 @@ def _build_representation(cfg: RunConfig, a, feats, sigma_b: float,
     """The run's kernel: dense array (exact) or LowRankFactor (lowrank).
 
     Both start from the base covariance: rbf returns it, ggp applies one
-    GraphConv, and the layered architectures run their program on it.  On
-    the exact path K0 is handed to ``run_exact`` in a list, so that it can
-    be released after layer 1."""
+    GraphConv, and the layered architectures run their program on it.  K0
+    or the start factor is handed to ``run_exact`` or ``lowrank_variant`` in
+    a list, so that it can be released after layer 1."""
     base_fn = _base_callable(cfg, gamma)
     if cfg.path == "exact":
         rep, apply = base_fn(feats), apply_block_exact
@@ -234,10 +234,10 @@ def _build_representation(cfg: RunConfig, a, feats, sigma_b: float,
     if cfg.arch == "ggp":
         return apply(rep, GraphConv(a))
     program = _program_for(cfg, a, sigma_b)
-    if cfg.path == "lowrank":
-        return lowrank_variant(program, rep, landmarks)
     held = [rep]
     del rep
+    if cfg.path == "lowrank":
+        return lowrank_variant(program, held, landmarks)
     return run_exact(program, held)
 
 

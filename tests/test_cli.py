@@ -518,9 +518,9 @@ def preloaded(monkeypatch, n, **kwargs):
 
 # peak of an exact-path infer in N x N float64 arrays, with K0 made inside the
 # traced window: the runner hands K0 over and run_exact drops it after layer 1,
-# so a layer's input, A K and the product (plus the gcnii skip, or sage's
-# second branch) include it; rbf builds each candidate beside the best fit's
-# kernel alone
+# so a layer's input, A K and the product (plus the gcnii skip) include it;
+# sage's self branch takes the input over once the neighbour branch is made;
+# rbf builds each candidate beside the best fit's kernel alone
 @pytest.mark.parametrize("arch, depth, bound", [
     ("gcn", 2, 3.1), ("gcn", 8, 3.1), ("gin", 2, 3.1), ("gin", 8, 3.1),
     ("mlp", 2, 3.1), ("mlp", 8, 3.1), ("gcnii", 2, 4.1), ("gcnii", 8, 4.1),
@@ -539,6 +539,35 @@ def test_infer_exact_peak_memory_counts_k0(monkeypatch, arch, depth, bound):
     finally:
         tracemalloc.stop()
     assert peak / (8.0 * n * n) <= bound
+    # the pre-flight check's count covers it
+    assert peak / (8.0 * n * n) <= runners.INFER_PEAK_NN[arch]
+
+
+# peak of a low-rank infer in N x r float64 arrays (r the landmark count): a
+# layer's input is handed on through its blocks and dropped once used, and
+# the activation factors the r x r landmark block before it forms only the
+# pivot columns, so a layer holds about two N x r arrays, its input and its
+# output, plus a few r x r blocks (1/16 N x r each at this size).  gcnii
+# carries the 16-wide start factor as its skip; sage's layer holds both
+# branches and their r + r wide sum
+@pytest.mark.parametrize("arch, depth, bound", [
+    ("gcn", 2, 2.3), ("gcn", 8, 2.4), ("gin", 2, 2.4), ("gin", 8, 2.4),
+    ("mlp", 2, 2.3), ("mlp", 8, 2.4), ("gcnii", 2, 2.55), ("gcnii", 8, 2.55),
+    ("sage", 2, 4.2), ("sage", 8, 4.2),
+])
+def test_infer_lowrank_peak_memory(monkeypatch, arch, depth, bound):
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    n, r = 4000, 256
+    # non-unit weights and a bias, so that no block hands its input back
+    cfg = preloaded(monkeypatch, n, arch=arch, layers=depth, sigma_w=1.2, sigma_b=0.1,
+                    sigma_w1=0.5, path="lowrank", landmarks=r)
+    tracemalloc.start()
+    try:
+        runners.run_infer(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * r) <= bound
 
 
 @pytest.mark.parametrize("arch", ["gcn", "gcnii", "rbf"])

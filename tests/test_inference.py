@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from graphgp import (
     ExactPosterior,
@@ -97,6 +98,22 @@ def test_lowrank_variance_matches_dense_woodbury():
             q, train, np.zeros(train.size), eps
         ).variance(rest)
         assert np.abs(dense - got).max() <= 1e-8 * max(1.0, np.abs(dense).max()), eps
+
+
+def test_lowrank_variance_matches_the_dpotrs_form():
+    # eps ||q U^{-1}||^2 through dtrtri against eps q^T (U^T U)^{-1} q through
+    # dpotrs on r x n_test, at a wide and a narrow factor and three nuggets
+    rng = np.random.default_rng(6)
+    for n, r in ((400, 40), (60, 3)):
+        q = LowRankFactor(rng.normal(size=(n, r)))
+        train, rest = np.arange(n // 2), np.arange(n // 2, n)
+        for eps in (1e-6, 0.1, 10.0):
+            fit = LowRankPosterior(q, train, np.zeros(train.size), eps)
+            qs = q.q[rest]
+            solved = lapack.dpotrs(fit._cho, qs.T, lower=0)[0]
+            ref = eps * np.einsum("ij,ji->i", qs, solved)
+            got = fit.variance(rest)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max(), (n, r, eps)
 
 
 def test_variance_clamped_nonnegative():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from graphgp import kernels
 from graphgp import (
@@ -161,9 +162,14 @@ def test_base_poly_fractional_degree_clamps():
 # ---------------------------------------------------------------------------
 # landmark factorization
 
+def columns_of(c_cols):
+    """The pivot-column callable of ``chol_factor`` for given columns."""
+    return lambda piv: c_cols[:, piv]
+
+
 def test_chol_factor_reconstructs_landmark_block():
     c = random_psd(6, 3) + 0.5 * np.eye(6)
-    p = chol_factor(c, c).gram()
+    p = chol_factor(c, columns_of(c)).gram()
     assert np.abs(p - c).max() <= 1e-9
 
 
@@ -173,20 +179,20 @@ def test_chol_factor_exact_for_spanning_landmarks():
     k = x @ x.T
     idx = np.array([0, 4, 7])
     assert np.linalg.matrix_rank(x[idx]) == 3
-    factor = chol_factor(k[:, idx], k[np.ix_(idx, idx)])
+    factor = chol_factor(k[np.ix_(idx, idx)], columns_of(k[:, idx]))
     assert np.abs(factor.gram() - k).max() / np.abs(k).max() <= 1e-9
 
 
 def test_chol_factor_rejects_negative_block():
     # ``eigenvalue`` carries the block's largest diagonal entry, here -1
     with pytest.raises(FactorizationError, match="no pivot above the floor") as exc:
-        chol_factor(np.zeros((3, 2)), -np.eye(2))
+        chol_factor(-np.eye(2), columns_of(np.zeros((3, 2))))
     assert exc.value.eigenvalue is not None and exc.value.eigenvalue < 0
 
 
 def test_chol_factor_rejects_zero_block():
     with pytest.raises(FactorizationError, match="no pivot above the floor") as exc:
-        chol_factor(np.ones((3, 2)), np.zeros((2, 2)))
+        chol_factor(np.zeros((2, 2)), columns_of(np.ones((3, 2))))
     assert exc.value.eigenvalue == 0.0
 
 
@@ -211,16 +217,125 @@ def test_chol_factor_drops_directions_below_the_pivot_floor():
     e = np.zeros(8)
     e[0] = 1.0
     c_floor = c + 1e-12 * c.diagonal().max() * np.outer(e, e)
-    factor = chol_factor(c_floor, c_floor)
+    factor = chol_factor(c_floor, columns_of(c_floor))
     assert factor.rank == 3
     assert np.abs(factor.gram() - c).max() <= 1e-10 * c.diagonal().max()
 
 
 def test_chol_factor_shape_checks():
     with pytest.raises(ValueError, match="square"):
-        chol_factor(np.zeros((3, 2)), np.zeros((2, 3)))
+        chol_factor(np.zeros((2, 3)), columns_of(np.zeros((3, 2))))
     with pytest.raises(ValueError, match="width"):
-        chol_factor(np.zeros((3, 3)), np.zeros((2, 2)))
+        chol_factor(np.eye(2), lambda piv: np.zeros((3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the pivot-first re-factor: factor the landmark block, then form only the
+# pivot columns and multiply them by L^{-T} in place
+
+
+def scatter_gemm_factor(c_cols, idx):
+    """The Nystrom factor as the N x r landmark columns times an r x k
+    matrix with L^{-T} scattered into its pivot rows."""
+    sym = 0.5 * (c_cols[idx] + c_cols[idx].T)
+    d_max = sym.diagonal().max()
+    chol, piv, rank, _ = lapack.dpstrf(sym, tol=kernels.EIG_FLOOR_REL * d_max, lower=1)
+    inv, _ = lapack.dtrtri(chol[:rank, :rank], lower=1)
+    m = np.zeros((idx.size, rank))
+    m[piv[:rank] - 1] = np.tril(inv).T
+    return c_cols @ m
+
+
+def scatter_gemm_activation(q, idx):
+    """The low-rank Activation from all r landmark columns of g(Q Q^T)."""
+    k_cols = q @ q[idx].T
+    return scatter_gemm_factor(
+        kernels._relu_gauss(k_cols, np.einsum("ij,ij->i", q, q), idx, out=k_cols), idx)
+
+
+def relu_factors():
+    """(name, Q, landmarks): full-rank, with dead nodes, with duplicated rows."""
+    rng = np.random.default_rng(40)
+    q = rng.normal(size=(300, 12))
+    idx = np.sort(rng.choice(300, 40, replace=False))
+    yield "full", q, idx
+    dead = q.copy()
+    dead[[idx[3], idx[17], 5, 6]] = 0.0
+    yield "dead", dead, idx
+    dup = q.copy()
+    dup[idx[1::2]] = dup[idx[0::2]]  # 20 distinct landmark rows
+    yield "duplicated", dup, idx
+
+
+@pytest.mark.parametrize("tile_rows", [7, None])  # ragged row tiles, and the default
+def test_activation_matches_the_scatter_gemm_factor(monkeypatch, tile_rows):
+    for name, q, idx in relu_factors():
+        ref = scatter_gemm_activation(q, idx)
+        if tile_rows:
+            monkeypatch.setattr(kernels, "_TILE_ELEMENTS", tile_rows * ref.shape[1])
+        got = apply_block_lowrank(LowRankFactor(q), Activation(), LandmarkSet(idx))
+        assert got.rank == ref.shape[1], name
+        g = ref @ ref.T
+        assert np.abs(got.gram() - g).max() <= 1e-13 * np.abs(g).max(), name
+
+
+def test_nystrom_start_matches_the_scatter_gemm_factor():
+    x = random_features(200, 30, seed=41)
+    lm = LandmarkSet.draw(np.arange(200), 50, seed=42)
+    for kernel in (base_inner, lambda a, b=None: base_rbf(a, b, gamma=0.05)):
+        ref = scatter_gemm_factor(kernel(x, x[lm.indices]), lm.indices)
+        got = nystrom_start(x, lm, kernel)
+        assert got.rank == ref.shape[1]
+        g = ref @ ref.T
+        assert np.abs(got.gram() - g).max() <= 1e-13 * np.abs(g).max()
+
+
+def test_rank_deficient_landmark_block_forms_only_its_pivot_columns(monkeypatch):
+    # the ReLU expectation runs on the 40 x 40 landmark block, then on the
+    # 300 x 20 pivot columns, never on all 40 landmark columns
+    shapes = []
+    original = kernels._relu_gauss
+
+    def spy(k_cols, *args, **kwargs):
+        shapes.append(k_cols.shape)
+        return original(k_cols, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_relu_gauss", spy)
+    _, dup, idx = list(relu_factors())[2]
+    got = apply_block_lowrank(LowRankFactor(dup), Activation(), LandmarkSet(idx))
+    assert got.rank == 20 and shapes == [(40, 40), (300, 20)]
+    # the start factor: 5 features, 20 landmarks, so the kernel is asked
+    # for the 5 pivot columns only
+    asked = []
+
+    def kernel(a, b=None):
+        asked.append((a.shape[0], a.shape[0] if b is None else b.shape[0]))
+        return base_inner(a, b)
+
+    x = random_features(60, 5, seed=30)
+    q = nystrom_start(x, LandmarkSet.draw(np.arange(60), 20, seed=31), kernel)
+    assert q.rank == 5 and asked == [(20, 20), (60, 5)]
+
+
+def test_dead_landmark_is_zeroed_against_the_largest_variance_of_all_nodes():
+    # node 0, not a landmark, carries the largest variance by far; landmark 7
+    # falls below VAR_FLOOR_REL of it, though not below that of the
+    # landmarks' own largest, so it is dead in the block as in its rows
+    rng = np.random.default_rng(43)
+    q = rng.normal(size=(60, 6))
+    q[0] *= 1e7
+    q[1:] *= 1e3
+    q[7] *= 1e-3
+    idx = np.array([3, 7, 12, 20, 33, 41, 50, 59])
+    d = np.einsum("ij,ij->i", q, q)
+    assert d[7] <= kernels.VAR_FLOOR_REL * d.max()
+    assert d[7] > kernels.VAR_FLOOR_REL * d[idx].max()
+    got = apply_block_lowrank(LowRankFactor(q), Activation(), LandmarkSet(idx))
+    assert np.all(got.q[7] == 0.0)
+    assert got.rank == idx.size - 1
+    ref = scatter_gemm_activation(q, idx)
+    g = ref @ ref.T
+    assert np.abs(got.gram() - g).max() <= 1e-13 * np.abs(g).max()
 
 
 def test_landmark_set_validation():
@@ -382,8 +497,7 @@ def test_tiled_relu_gauss_block_matches_untiled(monkeypatch, in_place):
     out = k if in_place else np.empty_like(k)
     got = kernels._relu_gauss(k, d, idx, out=out)
     assert got is out
-    assert np.array_equal(got[idx, np.arange(idx.size)], ref[idx, np.arange(idx.size)])
-    assert_close(got, ref)
+    assert np.array_equal(got, ref)
     assert np.all(got[3] == 0.0) and np.all(got[:, 3] == 0.0)
 
 
