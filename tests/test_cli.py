@@ -46,6 +46,14 @@ GOLDEN_RUNS = (
     ("depth-scan", "--arch", "gcn", "--layers", "12"),
     ("depth-scan", "--arch", "mlp", "--layers", "12"),
     ("depth-scan", "--arch", "gcn", "--layers", "4", "--nugget", "0.1"),
+    # feature preprocessing and the base kernels
+    ("infer", "--pca", "1"),
+    ("infer", "--center"),
+    ("infer", "--path", "lowrank", "--pca", "1", "--center"),
+    ("infer", "--base", "rbf", "--gamma", "0.5"),
+    ("infer", "--base", "poly", "--poly-c", "2", "--poly-d", "2"),
+    ("infer", "--arch", "ggp", "--poly-c", "2", "--poly-d", "2"),
+    ("depth-scan", "--base", "poly", "--layers", "4"),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
@@ -260,6 +268,57 @@ def test_config_file_supplies_defaults_flags_override(tmp_path, capsys):
     )
     assert "layers: 1" in out
     assert "sigma_w: 1.5" in out
+
+
+def untimed(text):
+    """A report's lines without its wall-clock values: [timing], and the
+    benchmark's slope and build seconds."""
+    keep, table = [], None
+    for line in strip_timing(text).splitlines():
+        if line.startswith("["):
+            table = line
+        elif table == "[scaling]":
+            line = ",".join(line.split(",")[:2])
+        if not line.startswith("loglog_slope: "):
+            keep.append(line)
+    return keep
+
+
+# every kind of value a config key takes: int, float, str, both spellings of
+# a key, center true and false, a nugget grid, sizes and ratios
+@pytest.mark.parametrize("command, values", [
+    ("infer", {"arch": "sage", "layers": "3", "sigma-w": "1.5", "sigma_w1": "0.5",
+               "base": "poly", "poly-c": "2", "center": "true", "nugget-grid": "0.01,1,5",
+               "seed": "3"}),
+    ("infer", {"path": "lowrank", "landmarks": "3", "pca": "1", "center": "false"}),
+    ("depth-scan", {"layers": "3", "base": "rbf", "gamma": "0.5", "nugget": "0.1"}),
+    ("mc-verify", {"arch": "gcnii", "alpha": "0.3", "decay": "1", "width": "64",
+                   "samples": "5"}),
+    ("benchmark", {"sizes": "100,200", "landmarks": "16", "repeats": "1", "degree": "3"}),
+    ("make-splits", {"ratios": "0.5,0.25,0.25", "seed": "1"}),
+], ids=["infer-exact", "infer-lowrank", "depth-scan", "mc-verify", "benchmark",
+        "make-splits"])
+def test_config_file_matches_flags(command, values, tmp_path, capsys):
+    dataset = tmp_path / "ds"
+    shutil.copytree(FIXTURE_DIR, dataset)
+    if command != "benchmark":
+        values = {"dataset": str(dataset), **values}
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n" + "".join(f"{k} = {v}\n" for k, v in values.items()))
+    flags = []
+    for key, value in values.items():
+        if key == "center":
+            flags += ["--center"] * (value == "true")
+        else:
+            flags += ["--" + key.replace("_", "-"), value]
+    outputs = []
+    for args in (["--config", str(ini)], flags):
+        if command == "make-splits":
+            (dataset / "splits.json").unlink(missing_ok=True)
+        code, out, err = run_cli(capsys, command, *args)
+        assert (code, err) == (0, "")
+        outputs.append(untimed(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_unknown_config_key_is_an_error(tmp_path, capsys):
