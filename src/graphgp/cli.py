@@ -1,15 +1,17 @@
 """Command-line front end.
 
-Subcommands:
-    infer        posterior prediction on a dataset directory
-    depth-scan   layer-by-layer limit diagnostics
-    mc-verify    finite-width sampling against the analytic kernel
-    benchmark    low-rank build-time scaling on synthetic graphs
-    make-splits  generate splits.json for a dataset directory
+Each subcommand (infer, depth-scan, mc-verify, benchmark, make-splits) is one
+entry of SUBCOMMANDS: its runner, its help line and the RunConfig fields it
+takes as flags.  A field's flag parses its text with the type RunConfig
+annotates (``Optional[int]`` reads an int); only center, nugget_grid, sizes
+and ratios have their own text forms.
 
 Values resolve in three tiers: built-in defaults, then the [section] of an
 INI file passed via --config (section name = subcommand), then explicit
-flags.  Config keys are flag names with hyphens replaced by underscores.
+flags.  Config keys are flag names, with or without hyphens replaced by
+underscores, and a section takes exactly its subcommand's flags.  Keys under
+[DEFAULT] reach every section: one that another subcommand takes is skipped
+where it does not apply, and one that no subcommand takes is an error.
 
 A warning raised during a call prints as one stderr line, ``warning:
 <message>``, without the file and line that raised it.
@@ -21,6 +23,7 @@ import argparse
 import configparser
 import dataclasses
 import sys
+import typing
 import warnings
 from typing import Optional, Sequence
 
@@ -37,13 +40,26 @@ from .runners import (
     run_mc_verify,
 )
 
-COMMANDS = {
-    "infer": run_infer,
-    "depth-scan": run_depth_scan,
-    "mc-verify": run_mc_verify,
-    "benchmark": run_benchmark,
-    "make-splits": run_make_splits,
+# the layered program's flags, shared by four subcommands, and the base kernel's
+_MODEL = ("arch", "layers", "sigma_b", "sigma_w", "sigma_w1", "sigma_w2", "alpha", "decay")
+_BASE = ("base", "gamma", "poly_c", "poly_d")
+# name: (runner, help line, RunConfig fields taken as flags, in --help order)
+SUBCOMMANDS = {
+    "infer": (run_infer, "posterior prediction on a dataset directory",
+              ("dataset", _MODEL[0], "path", *_MODEL[1:], *_BASE, "landmarks", "seed",
+               "nugget", "nugget_grid", "pca", "center", "out")),
+    "depth-scan": (run_depth_scan, "layer-by-layer limit diagnostics",
+                   ("dataset", *_MODEL, *_BASE, "seed", "nugget", "nugget_grid", "pca",
+                    "center", "out")),
+    "mc-verify": (run_mc_verify, "finite-width sampling against the kernel",
+                  ("dataset", *_MODEL, "width", "samples", "seed", "out")),
+    "benchmark": (run_benchmark, "low-rank build-time scaling",
+                  (*_MODEL, "landmarks", "sizes", "repeats", "degree", "seed", "out")),
+    "make-splits": (run_make_splits, "write splits.json for a dataset directory",
+                    ("dataset", "ratios", "seed", "out")),
 }
+_CHOICES = {"arch": ARCH_CHOICES, "path": PATH_CHOICES}
+_METAVARS = {"nugget_grid": "LO,HI,POINTS", "sizes": "A,B,...", "ratios": "A,B,..."}
 
 
 def _parse_grid(text: str) -> tuple:
@@ -75,59 +91,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-# how to parse a config-file string for each RunConfig field
-_FIELD_PARSERS = {
-    "dataset": str,
-    "arch": str,
-    "path": str,
-    "base": str,
-    "out": str,
-    "layers": int,
-    "landmarks": int,
-    "pca": int,
-    "width": int,
-    "samples": int,
-    "repeats": int,
-    "seed": int,
-    "sigma_b": float,
-    "sigma_w": float,
-    "sigma_w1": float,
-    "sigma_w2": float,
-    "alpha": float,
-    "decay": float,
-    "gamma": float,
-    "poly_c": float,
-    "poly_d": float,
-    "nugget": float,
-    "degree": float,
-    "center": _parse_bool,
-    "nugget_grid": _parse_grid,
-    "sizes": _parse_list(int),
-    "ratios": _parse_list(float),
-}
+# how to parse a flag's or a config value's text: the annotated type, with
+# Optional dropped, unless the field has its own text form
+_TEXT_FORMS = {"center": _parse_bool, "nugget_grid": _parse_grid,
+               "sizes": _parse_list(int), "ratios": _parse_list(float)}
+_PARSERS = {name: _TEXT_FORMS.get(name, (*typing.get_args(hint), hint)[0])
+            for name, hint in typing.get_type_hints(RunConfig).items()}
 
 
-def _add(parser: argparse.ArgumentParser, *names: str) -> None:
-    """Attach the named RunConfig fields as optional flags (default None)."""
-    for name in names:
-        flag = "--" + name.replace("_", "-")
-        if name == "center":
-            parser.add_argument(flag, action="store_const", const=True, default=None,
-                                help="mean-center features before use")
-            continue
-        kind = _FIELD_PARSERS[name]
-        kwargs = {"default": None}
-        if name == "arch":
-            kwargs["choices"] = ARCH_CHOICES
-        elif name == "path":
-            kwargs["choices"] = PATH_CHOICES
-        else:
-            kwargs["type"] = kind
-            if name == "nugget_grid":
-                kwargs["metavar"] = "LO,HI,POINTS"
-            elif kind not in (int, float, str):
-                kwargs["metavar"] = "A,B,..."
-        parser.add_argument(flag, **kwargs)
+def _add(parser: argparse.ArgumentParser, name: str) -> None:
+    """Attach a RunConfig field as an optional flag (default None)."""
+    flag = "--" + name.replace("_", "-")
+    if name == "center":
+        parser.add_argument(flag, action="store_const", const=True, default=None,
+                            help="mean-center features before use")
+    else:
+        parser.add_argument(flag, default=None, type=_PARSERS[name],
+                            choices=_CHOICES.get(name), metavar=_METAVARS.get(name))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,61 +119,47 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"graphgp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("infer", help="posterior prediction on a dataset directory")
-    p.add_argument("--config", help="INI file; values read from its [infer] section")
-    _add(p, "dataset", "arch", "path", "layers", "sigma_b", "sigma_w", "sigma_w1",
-         "sigma_w2", "alpha", "decay", "base", "gamma", "poly_c", "poly_d",
-         "landmarks", "seed", "nugget", "nugget_grid", "pca",
-         "center", "out")
-
-    p = sub.add_parser("depth-scan", help="layer-by-layer limit diagnostics")
-    p.add_argument("--config", help="INI file; values read from its [depth-scan] section")
-    _add(p, "dataset", "arch", "layers", "sigma_b", "sigma_w", "sigma_w1", "sigma_w2",
-         "alpha", "decay", "base", "gamma", "poly_c", "poly_d", "seed", "nugget",
-         "nugget_grid", "pca", "center", "out")
-
-    p = sub.add_parser("mc-verify", help="finite-width sampling against the kernel")
-    p.add_argument("--config", help="INI file; values read from its [mc-verify] section")
-    _add(p, "dataset", "arch", "layers", "sigma_b", "sigma_w", "sigma_w1", "sigma_w2",
-         "alpha", "decay", "width", "samples", "seed", "out")
-
-    p = sub.add_parser("benchmark", help="low-rank build-time scaling")
-    p.add_argument("--config", help="INI file; values read from its [benchmark] section")
-    _add(p, "arch", "layers", "sigma_b", "sigma_w", "sigma_w1", "sigma_w2", "alpha",
-         "decay", "landmarks", "sizes", "repeats", "degree", "seed", "out")
-
-    p = sub.add_parser("make-splits", help="write splits.json for a dataset directory")
-    p.add_argument("--config", help="INI file; values read from its [make-splits] section")
-    _add(p, "dataset", "ratios", "seed", "out")
+    for command, (_, help_line, fields) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_line)
+        p.add_argument("--config", help=f"INI file; values read from its [{command}] section")
+        for name in fields:
+            _add(p, name)
     return parser
 
 
-def _config_overrides(path: str, section: str) -> dict:
+def _config_overrides(path: str, command: str) -> dict:
+    """The values of the file's [command] section, parsed; only the
+    command's own flags are accepted.  A key inherited from [DEFAULT] that
+    another subcommand takes is skipped."""
     ini = configparser.ConfigParser()
-    read = ini.read(path)
-    if not read:
+    if not ini.read(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    if not ini.has_section(section):
+    if not ini.has_section(command):
         return {}
+    # the same file with [DEFAULT] an ordinary section, so that the keys
+    # written in [command] itself are known
+    own = configparser.ConfigParser(default_section="", interpolation=None)
+    own.read(path)
+    fields = SUBCOMMANDS[command][2]
     overrides = {}
-    for key, raw in ini.items(section):
+    for key, raw in ini.items(command):
         name = key.replace("-", "_")
-        if name not in _FIELD_PARSERS:
+        section = command if key in own[command] else ini.default_section
+        if name not in fields:
+            if section != command and any(name in f for _, _, f in SUBCOMMANDS.values()):
+                continue
             raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
         try:
-            overrides[name] = _FIELD_PARSERS[name](raw)
+            overrides[name] = _PARSERS[name](raw)
         except (ValueError, argparse.ArgumentTypeError) as err:
             raise ValueError(f"{path}: bad value for {key!r}: {err}") from None
     return overrides
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    updates = {}
-    if getattr(args, "config", None):
-        updates.update(_config_overrides(args.config, args.command))
-    for name in _FIELD_PARSERS:
-        value = getattr(args, name, None)
+    updates = _config_overrides(args.config, args.command) if args.config else {}
+    for name in SUBCOMMANDS[args.command][2]:
+        value = getattr(args, name)
         if value is not None:
             updates[name] = value
     return dataclasses.replace(RunConfig(), **updates)
@@ -214,7 +180,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
         try:
             cfg = resolve_config(args)
-            report = COMMANDS[args.command](cfg)
+            report = SUBCOMMANDS[args.command][0](cfg)
         except (ValueError, OSError, FactorizationError, PowerIterationError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import math
 import os
@@ -29,7 +30,7 @@ from graphgp import (
     save_dataset,
     synthetic_dataset,
 )
-from graphgp import kernels, programs, runners
+from graphgp import cli, kernels, programs, runners
 from graphgp.cli import main
 from graphgp.runners import ARCH_CHOICES, RunConfig, run_benchmark
 
@@ -329,6 +330,81 @@ def test_unknown_config_key_is_an_error(tmp_path, capsys):
     )
     assert code == 1
     assert "unknown key 'bogus' in [infer]" in err
+
+
+@pytest.mark.parametrize("command, line", [
+    ("infer", "width = 5"),  # mc-verify's
+    ("infer", "repeats = 0"),  # benchmark's, a value its flag rejects
+    ("make-splits", "layers = 0"),  # the runner would reject it
+    ("mc-verify", "nugget-grid = 0.01,1,5"),
+    ("mc-verify", "poly_c = 2"),
+])
+def test_config_section_takes_only_its_own_flags(command, line, tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[{command}]\n{line}\n")
+    code, out, err = run_cli(capsys, command, "--dataset", FIXTURE_DIR, "--config", str(ini))
+    assert (code, out) == (1, "")
+    assert f"unknown key {line.split()[0]!r} in [{command}]" in err
+
+
+def test_config_default_section_is_shared(tmp_path, capsys):
+    # a [DEFAULT] key reaches every section: where another subcommand takes
+    # it, it is skipped; a key no subcommand takes is an error
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\nlayers = 3\nwidth = 64\nsamples = 5\n[infer]\n[mc-verify]\n")
+    code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--config", str(ini))
+    assert (code, err) == (0, "")
+    assert "layers: 3" in out.splitlines()
+    code, out, err = run_cli(capsys, "mc-verify", "--dataset", FIXTURE_DIR,
+                             "--config", str(ini))
+    assert (code, err) == (0, "")
+    assert {"layers: 3", "width: 64", "samples: 5"} <= set(out.splitlines())
+    ini.write_text("[DEFAULT]\nbogus = 1\n[infer]\n")
+    code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--config", str(ini))
+    assert (code, out) == (1, "")
+    assert "unknown key 'bogus' in [DEFAULT]" in err
+
+
+def test_config_without_the_section_leaves_the_defaults(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[DEFAULT]\nlayers = 3\n[depth-scan]\nlayers = 4\n")
+    _, plain, _ = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR)
+    code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--config", str(ini))
+    assert (code, err) == (0, "")
+    assert strip_timing(out) == strip_timing(plain)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("center = maybe", "bad value for 'center': not a boolean: 'maybe'"),
+    ("layers = two", "bad value for 'layers': invalid literal for int()"),
+    ("nugget-grid = 0.1,1", "bad value for 'nugget-grid': expected LO,HI,POINTS"),
+])
+def test_bad_config_value_is_an_error(line, message, tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text(f"[infer]\n{line}\n")
+    code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--config", str(ini))
+    assert (code, out) == (1, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("args, message", [
+    (("infer", "--nugget-grid", "0.1,1"), "expected LO,HI,POINTS"),
+    (("infer", "--nugget-grid", "0.1,1,x"), "invalid literal for int()"),
+    (("benchmark", "--sizes", "100,x"), "invalid literal for int()"),
+    (("make-splits", "--ratios", "0.5,x"), "could not convert string to float"),
+])
+def test_malformed_list_flags_are_rejected(args, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(args))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_every_run_config_field_is_a_flag():
+    # each RunConfig field is some subcommand's flag, and each flag a field
+    taken = [name for _, _, fields in cli.SUBCOMMANDS.values() for name in fields]
+    assert set(taken) == {f.name for f in dataclasses.fields(RunConfig)}
+    assert all(len(set(fields)) == len(fields) for _, _, fields in cli.SUBCOMMANDS.values())
 
 
 def test_missing_config_file(capsys):
