@@ -14,6 +14,19 @@ for arch in gcn gcnii gin sage mlp; do cli infer --dataset $fixture --arch $arch
 # a fixed nugget is a one-point search, alone and inside rbf's gamma search
 for path in exact lowrank; do cli infer --dataset $fixture --path $path --nugget 0.1; done
 cli infer --dataset $fixture --arch rbf --nugget 0.1
+# feature preprocessing and the base kernels, on both paths
+for path in exact lowrank; do
+  cli infer --dataset $fixture --path $path --pca 1
+  cli infer --dataset $fixture --path $path --center
+  cli infer --dataset $fixture --path $path --base rbf
+  cli infer --dataset $fixture --path $path --base poly
+done
+# a config file: its [infer] section, and a [DEFAULT] key that only mc-verify
+# takes; the flag parsers come from RunConfig's annotations
+ini=$(mktemp) || exit 1
+trap 'rm -f "$ini"' EXIT
+printf '[DEFAULT]\nwidth = 64\n[infer]\narch = sage\nlayers = 3\nsigma-w = 1.5\ncenter = true\nnugget-grid = 0.01,1,5\n' > "$ini"
+cli infer --dataset $fixture --config "$ini"
 cli depth-scan --dataset $fixture --arch gcn --layers 4 --nugget 0.1
 for arch in gcn gcnii mlp; do cli depth-scan --dataset $fixture --arch $arch --layers 20; done
 for arch in gcn gin; do

@@ -41,6 +41,10 @@ CAUCHY_LAG = 10
 # observer's row strips have a bounded size, so the count holds at larger N
 # (below 512 nodes one strip is the whole kernel, adding at most 1.2).
 SCAN_PEAK_NN = CAUCHY_LAG + 6.0
+# the same for a graph-free scan (``mlp_fixed_point``), which keeps no kernel:
+# K0, a layer's input and its output.  Traced CLI scans at N = 1000 peaked
+# at 3.03, sub- and supercritical, at depth 2 and 20.
+MLP_SCAN_PEAK_NN = 3.1
 # Lanczos basis size of the top-two solve (ARPACK's default for two
 # eigenvalues); a restart keeps the best half of its Ritz vectors
 LANCZOS_BASIS = 20
@@ -329,6 +333,6 @@ def mlp_fixed_point(sigma_b: float, sigma_w: float, k0: np.ndarray,
         tr[layer - 1] = np.trace(k)
         rho[layer - 1] = _min_correlation(k)
 
-    run_exact(program, relu_expectation(k0), on_layer=observe)
+    run_exact(program, [relu_expectation(k0)], on_layer=observe)
     regime = "subcritical" if delta < 1.0 else "supercritical"
     return MlpLimitResult(regime, layers, gaps, tr, rho, flat_level=q, profile=v)

@@ -43,7 +43,7 @@ from .kernels import (
     base_poly,
     base_rbf,
 )
-from .limits import SCAN_PEAK_NN, depth_scan, mlp_fixed_point
+from .limits import MLP_SCAN_PEAK_NN, SCAN_PEAK_NN, depth_scan, mlp_fixed_point
 from .programs import (
     ARCHITECTURES,
     KernelProgram,
@@ -67,6 +67,19 @@ GAMMA_GRID = tuple(np.logspace(-2, 2, 9))
 # tile buffers of 2^14 entries, peaked at 3.00-3.02, and at 4.02 for gcnii.
 INFER_PEAK_NN = {"gcn": 3.1, "gin": 3.1, "mlp": 3.1, "ggp": 3.1, "rbf": 3.1,
                  "gcnii": 4.1, "sage": 3.1}
+# mc-verify holds the kernel build's INFER_PEAK_NN, then, while it samples,
+# the analytic kernel, the running sum and a draw's z z^T beside at most
+# MC_DRAW_ARRAYS n x width arrays of the draw (gcnii and sage; gin 5, gcn 4,
+# mlp 3) and a hidden layer's k x width normals, k the fan-in (below 4 N; a
+# wider layer draws N x width).  Traced at N = 1000, K0 included: gcn 3.03,
+# 7.17 and 23.0 at width 16, 1024 and 3000; gcnii 4.02, 9.21 and 29.0.
+MC_DRAW_ARRAYS = 6
+
+
+def _mc_verify_peak_nn(arch: str, n_nodes: int, width: int) -> float:
+    """mc-verify's peak in N x N arrays, the draws' arrays included."""
+    w = width / n_nodes
+    return max(INFER_PEAK_NN[arch], 3.1 + (MC_DRAW_ARRAYS + min(w, 4.0)) * w)
 
 
 @dataclass
@@ -378,9 +391,9 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     sigma_b = _default_sigma_b(cfg, task)
     feats = _preprocess(cfg, ds, None)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
-    if cfg.arch != "mlp":
-        # fail before K0, the first N x N array, is made; the count includes it
-        require_memory(ds.n_nodes, SCAN_PEAK_NN, "depth scan")
+    # fail before K0, the first N x N array, is made; the count includes it
+    require_memory(ds.n_nodes, MLP_SCAN_PEAK_NN if cfg.arch == "mlp" else SCAN_PEAK_NN,
+                   "depth scan")
     k0 = _base_callable(cfg, cfg.gamma)(feats)
     grid = _search_grid(cfg)
 
@@ -437,7 +450,10 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     ds = load_dataset(cfg.dataset)
     sigma_b = _default_sigma_b(cfg, ds.task)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
-    analytic = run_exact(program, base_inner(ds.features))
+    # fail before K0, the first N x N array, is made; the count includes it
+    require_memory(ds.n_nodes, _mc_verify_peak_nn(cfg.arch, ds.n_nodes, cfg.width),
+                   "mc-verify")
+    analytic = run_exact(program, [base_inner(ds.features)])
     mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
     empirical = sample_covariance(mc, ds.features)
     err = compare_covariance(empirical, analytic)

@@ -30,7 +30,7 @@ from graphgp import (
     save_dataset,
     synthetic_dataset,
 )
-from graphgp import cli, kernels, programs, runners
+from graphgp import cli, kernels, limits, programs, runners
 from graphgp.cli import main
 from graphgp.runners import ARCH_CHOICES, RunConfig, run_benchmark
 
@@ -730,3 +730,62 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
     monkeypatch.setattr(programs, "available_memory", lambda: 0)
     cfg.path = "lowrank"
     assert runners.run_infer(cfg).scalars["path"] == "lowrank"
+
+
+# peak of mc-verify and of an mlp depth scan in N x N float64 arrays, K0 made
+# inside the traced window; mc-verify's count grows with width / N, for the
+# draws' n x width arrays
+@pytest.mark.parametrize("command, flags", [
+    ("mc-verify", dict(arch="gcn", width=64)), ("mc-verify", dict(arch="gcnii", width=64)),
+    ("mc-verify", dict(arch="gcn", width=1000)), ("mc-verify", dict(arch="sage", width=1000)),
+    ("mc-verify", dict(arch="gcn", width=1000, n=200)),  # fan-in above 4 N
+    ("depth-scan", dict(arch="mlp", layers=8)),
+    ("depth-scan", dict(arch="mlp", layers=8, sigma_w=2.0)),
+], ids=["mc-gcn", "mc-gcnii", "mc-gcn-wide", "mc-sage-wide", "mc-gcn-n-by-n-root",
+        "mlp-sub", "mlp-super"])
+def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags):
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    flags = dict(flags)
+    n = flags.pop("n", 1000)
+    cfg = preloaded(monkeypatch, n, sigma_b=0.1, samples=1, **flags)
+    tracemalloc.start()
+    try:
+        report = runners.run_mc_verify(cfg) if command == "mc-verify" else (
+            runners.run_depth_scan(cfg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if command == "depth-scan":
+        assert report.scalars["regime"] == ("supercritical" if "sigma_w" in flags else
+                                            "subcritical")
+        count = limits.MLP_SCAN_PEAK_NN
+    else:
+        count = runners._mc_verify_peak_nn(cfg.arch, n, cfg.width)
+    assert peak / (8.0 * n * n) <= count
+
+
+@pytest.mark.parametrize("command, arch", [
+    ("mc-verify", "gcn"), ("mc-verify", "gcnii"), ("depth scan", "mlp"),
+])
+def test_dense_diagnostics_reject_large_graphs_before_k0(monkeypatch, command, arch):
+    # one byte short of the estimate: the run fails before K0 is made, so
+    # nothing near an N x N array is allocated; exactly enough runs
+    n = 500
+    cfg = preloaded(monkeypatch, n, arch=arch, width=64, samples=2)
+    if command == "mc-verify":
+        run, count = runners.run_mc_verify, runners._mc_verify_peak_nn(arch, n, 64)
+    else:
+        run, count = runners.run_depth_scan, limits.MLP_SCAN_PEAK_NN
+    need = math.ceil(8.0 * count * n**2)
+    monkeypatch.setattr(programs, "available_memory", lambda: need - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=(
+                f"^{command} on 500 nodes needs about {count:g} N x N arrays")):
+            run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= 0.1
+    monkeypatch.setattr(programs, "available_memory", lambda: need)
+    assert run(cfg).scalars["arch"] == arch
