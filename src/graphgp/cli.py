@@ -144,8 +144,8 @@ def _config_overrides(path: str, command: str) -> dict:
     overrides = {}
     for key, raw in ini.items(command):
         name = key.replace("-", "_")
-        section = command if key in own[command] else ini.default_section
         if name not in fields:
+            section = command if key in own[command] else ini.default_section
             if section != command and any(name in f for _, _, f in SUBCOMMANDS.values()):
                 continue
             raise ValueError(f"{path}: unknown key {key!r} in [{section}]")
