@@ -132,17 +132,21 @@ def _config_overrides(path: str, command: str) -> dict:
     command's own flags are accepted.  A key inherited from [DEFAULT] that
     another subcommand takes is skipped."""
     ini = configparser.ConfigParser()
-    if not ini.read(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    if not ini.has_section(command):
-        return {}
     # the same file with [DEFAULT] an ordinary section, so that the keys
     # written in [command] itself are known
     own = configparser.ConfigParser(default_section="", interpolation=None)
-    own.read(path)
+    try:
+        if not ini.read(path):
+            raise FileNotFoundError(f"config file not found: {path}")
+        if not ini.has_section(command):
+            return {}
+        own.read(path)
+        items = ini.items(command)
+    except configparser.Error as err:  # no section header, a key set twice, ...
+        raise ValueError(f"{path}: {' '.join(str(err).split())}") from None
     fields = SUBCOMMANDS[command][2]
     overrides = {}
-    for key, raw in ini.items(command):
+    for key, raw in items:
         name = key.replace("-", "_")
         if name not in fields:
             section = command if key in own[command] else ini.default_section

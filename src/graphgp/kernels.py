@@ -15,13 +15,16 @@ less when the block is rank-deficient, as it is for inner-product base
 features with fewer features than landmarks.  The block is factored first;
 only its pivot columns are then formed over all N nodes.
 
-The ReLU expectation uses the closed form
+The ReLU expectation uses the closed form (Cho & Saul 2009)
 
-    E[relu(z) relu(z')] = sqrt(K_xx K_x'x') * (sin t + (pi - t) cos t) / (2 pi),
-    t = arccos( K_xx' / sqrt(K_xx K_x'x') ),
+    E[relu(z) relu(z')] = sqrt(K_xx K_x'x') * (sin t + (pi - t) rho) / (2 pi),
+    rho = cos t = K_xx' / sqrt(K_xx K_x'x'),  t = arccos(rho),
+    sin t = sqrt(1 - rho^2),
 
 so the diagonal is halved exactly and the correlation version
-f(rho) = (sin t + (pi - t) rho) / pi maps [-1, 1] into [0, 1].
+f(rho) = (sin t + (pi - t) rho) / pi maps [-1, 1] into [0, 1].  sin t is
+taken as sqrt(1 - rho^2), not as sin(arccos rho): three cheap passes in
+place of np.sin, which costs more than arccos, sqrt and the rest together.
 
 Memory: the ReLU expectation works in row tiles of about _TILE_ELEMENTS
 entries, writing into one preallocated output, so it holds its input, its
@@ -40,7 +43,14 @@ the diagonal and mirrors them below it; a unit Weight and a zero Bias
 return their input itself on both paths.  Tiling and mirroring change no
 operation on any element, nor their order, so for a bitwise-symmetric
 input (every kernel this package builds) the results are bit for bit
-those of the untiled full-matrix expressions.
+those of the untiled full-matrix expression
+
+    (0.5 / pi) * denom * (sqrt(1 - rho * rho) + (pi - arccos(rho)) * rho),
+    denom = sqrt(K_xx K_x'x'),  rho = clip(K_xx' / denom, -1, 1).
+
+The Nystrom factor's product with the upper-triangular L^{-T} skips the
+zero half of L^{-T}: it goes one block of _COL_BLOCK columns at a time,
+and a block's columns sum only the rows of L^{-T} above its last column.
 """
 
 from __future__ import annotations
@@ -64,6 +74,8 @@ EIG_FLOOR_REL = 1e-10
 # Entries per row tile of the dense ReLU expectation; GraphConv's square
 # blocks hold a sixteenth as many.
 _TILE_ELEMENTS = 2**18
+# Columns per block of the Nystrom factor's in-place product with L^{-T}.
+_COL_BLOCK = 64
 
 
 class FactorizationError(RuntimeError):
@@ -263,13 +275,14 @@ def base_poly(
 def correlation_map(rho):
     """Correlation version of the ReLU expectation, f(rho) in [0, 1].
 
-    f(rho) = (sin t + (pi - t) rho) / pi with t = arccos(rho); inputs are
+    f(rho) = (sin t + (pi - t) rho) / pi with t = arccos(rho) and sin t
+    = sqrt(1 - rho^2), as in ``_relu_gauss``; inputs are
     clamped to [-1, 1] to absorb roundoff.  Nondecreasing, f(rho) >= rho,
     f(1) = 1.
     """
     r = np.clip(rho, -1.0, 1.0)
     t = np.arccos(r)
-    return (np.sin(t) + (np.pi - t) * r) / np.pi
+    return (np.sqrt(1.0 - r * r) + (np.pi - t) * r) / np.pi
 
 
 def _tile_rows(n_cols: int) -> int:
@@ -314,7 +327,9 @@ def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
         np.divide(k_cols[r0:r1, c0:], denom, out=rho)
         np.clip(rho, -1.0, 1.0, out=rho)
         np.arccos(rho, out=t)
-        np.sin(t, out=sin_t)
+        np.multiply(rho, rho, out=sin_t)  # sin t = sqrt(1 - rho^2); the clip
+        np.subtract(1.0, sin_t, out=sin_t)  # keeps 1 - rho^2 non-negative
+        np.sqrt(sin_t, out=sin_t)
         np.subtract(np.pi, t, out=t)  # the order of the untiled expression:
         t *= rho                      # (0.5 / pi) * denom * (sin t + (pi - t) rho)
         t += sin_t
@@ -402,9 +417,14 @@ def chol_factor(c_landmark: np.ndarray,
     Only then are the N x k pivot columns formed, by ``columns(piv)``,
     which gets the positions of S within the landmark set, in pivot order,
     and returns C[:, a[piv]] as a fresh array.  That array is multiplied by
-    L^{-T} in place, in row tiles, and becomes the factor, so the re-factor
-    holds one N x k array, never the N x r landmark columns; an array of
-    one tile is multiplied whole instead, which holds no more.
+    L^{-T} in place and becomes the factor, so the re-factor holds one
+    N x k array, never the N x r landmark columns; an array of one tile is
+    multiplied whole instead, which holds no more.  In place, each row tile
+    is multiplied one block of _COL_BLOCK columns at a time, from the last
+    block to the first, through one tile-rows x _COL_BLOCK buffer.  L^{-T}
+    is upper triangular, so block [j0, j1) reads only the tile's columns
+    below j1, which the blocks still to come have not written, and only the
+    rows of L^{-T} above j1: the zero half of L^{-T} is not multiplied.
 
     Restricted to the landmark rows, P P^T reproduces C[a, a] up to the
     dropped directions, so to roundoff when no pivot falls below the floor.
@@ -440,8 +460,14 @@ def chol_factor(c_landmark: np.ndarray,
     rows = _tile_rows(rank)
     if p.shape[0] <= rows:  # one tile: its product is the factor, with no copy back
         return LowRankFactor(p @ inv_t)
+    buf = np.empty(rows * min(_COL_BLOCK, rank))
     for r0 in range(0, p.shape[0], rows):
-        p[r0:r0 + rows] = p[r0:r0 + rows] @ inv_t
+        tile = p[r0:r0 + rows]
+        for j0 in reversed(range(0, rank, _COL_BLOCK)):
+            j1 = min(j0 + _COL_BLOCK, rank)
+            prod = buf[:tile.shape[0] * (j1 - j0)].reshape(tile.shape[0], j1 - j0)
+            np.matmul(tile[:, :j1], inv_t[:j1, j0:j1], out=prod)
+            tile[:, j0:j1] = prod
     return LowRankFactor(p)
 
 

@@ -450,11 +450,12 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     ds = load_dataset(cfg.dataset)
     sigma_b = _default_sigma_b(cfg, ds.task)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
-    # fail before K0, the first N x N array, is made; the count includes it
+    # fail before K0, the first N x N array, is made: the sampling plan's
+    # checks, then the memory count, which includes K0
+    mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
     require_memory(ds.n_nodes, _mc_verify_peak_nn(cfg.arch, ds.n_nodes, cfg.width),
                    "mc-verify")
     analytic = run_exact(program, [base_inner(ds.features)])
-    mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
     empirical = sample_covariance(mc, ds.features)
     err = compare_covariance(empirical, analytic)
 

@@ -400,6 +400,20 @@ def test_malformed_list_flags_are_rejected(args, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("layers = 2\n", "File contains no section headers."),
+    ("[infer]\nlayers = 2\nlayers = 3\n", "option 'layers' in section 'infer' already exists"),
+], ids=["no-section-header", "key-set-twice"])
+def test_malformed_config_file_is_an_error(text, message, tmp_path, capsys):
+    # configparser's own errors end in one error line, not a traceback
+    ini = tmp_path / "run.ini"
+    ini.write_text(text)
+    code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--config", str(ini))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {ini}: ") and message in err
+    assert err.count("\n") == 1
+
+
 def test_every_run_config_field_is_a_flag():
     # each RunConfig field is some subcommand's flag, and each flag a field
     taken = [name for _, _, fields in cli.SUBCOMMANDS.values() for name in fields]
@@ -789,3 +803,21 @@ def test_dense_diagnostics_reject_large_graphs_before_k0(monkeypatch, command, a
     assert peak / (8.0 * n * n) <= 0.1
     monkeypatch.setattr(programs, "available_memory", lambda: need)
     assert run(cfg).scalars["arch"] == arch
+
+
+@pytest.mark.parametrize("field, message", [
+    ("width", "width must be positive"), ("samples", "need at least one sample"),
+])
+def test_mc_verify_rejects_its_plan_before_k0(monkeypatch, field, message):
+    # the sampling plan is checked before K0, the first N x N array, is made
+    n = 500
+    cfg = preloaded(monkeypatch, n, width=64, samples=2)
+    cfg = dataclasses.replace(cfg, **{field: 0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            runners.run_mc_verify(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= 0.1

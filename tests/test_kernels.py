@@ -455,7 +455,7 @@ def untiled_relu_gauss(k, d_rows, d_cols, var_floor):
                      np.sqrt(np.where(alive_c, d_cols, 1.0)))
     rho = np.clip(k / denom, -1.0, 1.0)
     t = np.arccos(rho)
-    c = (0.5 / np.pi) * denom * (np.sin(t) + (np.pi - t) * rho)
+    c = (0.5 / np.pi) * denom * (np.sqrt(1.0 - rho * rho) + (np.pi - t) * rho)
     c[~alive_r, :] = 0.0
     c[:, ~alive_c] = 0.0
     return c
@@ -536,6 +536,92 @@ def test_graphconv_is_the_whole_matrix_expression(monkeypatch, operator, n, side
         assert np.array_equal(got, 0.5 * (y + y.T))
         assert np.array_equal(got, got.T)
         assert np.array_equal(k, before)
+
+
+# ---------------------------------------------------------------------------
+# sin t as sqrt(1 - rho^2): against the sin(arccos rho) form it replaced
+
+def sin_arccos_relu_gauss(k, d, idx, var_floor):
+    """_relu_gauss of K[:, idx] with sin t taken as sin(arccos rho)."""
+    alive_r, alive_c = d > var_floor, d[idx] > var_floor
+    denom = np.outer(np.sqrt(np.where(alive_r, d, 1.0)),
+                     np.sqrt(np.where(alive_c, d[idx], 1.0)))
+    rho = np.clip(k / denom, -1.0, 1.0)
+    t = np.arccos(rho)
+    c = (0.5 / np.pi) * denom * (np.sin(t) + (np.pi - t) * rho)
+    c[~alive_r, :] = 0.0
+    c[:, ~alive_c] = 0.0
+    c[idx, np.arange(idx.size)] = np.where(alive_c, 0.5 * d[idx], 0.0)
+    return c
+
+
+# correlations at the ends of [-1, 1], one ulp inside them, just outside
+# them (clipped), and zero of both signs
+EDGE_RHO = [-1.0, np.nextafter(-1.0, 0.0), -1.0 - 2**-52, -0.0,
+            0.0, np.nextafter(1.0, 0.0), 1.0, 1.0 + 2**-52]
+
+
+@pytest.mark.parametrize("tile_rows", [3, None])  # ragged row tiles, and the default
+def test_relu_gauss_matches_sin_arccos(monkeypatch, tile_rows):
+    rng = np.random.default_rng(16)
+    n, idx = 40, np.array([1, 4, 9, 22, 39])
+    d = np.ones(n)
+    d[20:] = rng.uniform(0.5, 2.0, n - 20)
+    d[[4, 12, 30]] = 0.0  # dead: landmark column 4, rows 12 and 30
+    k = rng.uniform(-1.0, 1.0, (n, idx.size)) * np.sqrt(np.outer(d, d[idx]))
+    k[5:9, [0, 2]] = np.reshape(EDGE_RHO, (4, 2))  # unit variances: k is rho
+    floor = kernels.VAR_FLOOR_REL * d.max()
+    ref = sin_arccos_relu_gauss(k, d, idx, floor)
+    if tile_rows:
+        monkeypatch.setattr(kernels, "_TILE_ELEMENTS", tile_rows * idx.size)
+    got = kernels._relu_gauss(k, d, idx, out=np.empty_like(k))
+    assert np.abs(got - ref).max() <= 4e-16 * np.abs(ref).max()
+    # f(-1) = 0 exactly, where sin(arccos(-1)) = sin(pi) leaves 1e-16
+    assert np.all(got[5:9, [0, 2]][np.reshape(EDGE_RHO, (4, 2)) <= -1.0] == 0.0)
+    assert np.all(got[[12, 30]] == 0.0) and np.all(got[:, 1] == 0.0)
+
+
+def test_relu_expectation_matches_sin_arccos():
+    for k in symmetric_kernels(40, [5, 6, 33]):
+        d = np.maximum(k.diagonal(), 0.0)
+        ref = sin_arccos_relu_gauss(k, d, np.arange(40), kernels.VAR_FLOOR_REL * d.max())
+        assert np.abs(relu_expectation(k) - ref).max() <= 4e-16 * np.abs(ref).max()
+
+
+# ---------------------------------------------------------------------------
+# the product with L^{-T}, in place, one block of _COL_BLOCK columns at a time
+
+
+def whole_product_factor(c_landmark, c_cols):
+    """C[:, S] L^{-T} as one product, with chol_factor's pivots."""
+    sym = 0.5 * (c_landmark + c_landmark.T)
+    tol = kernels.EIG_FLOOR_REL * sym.diagonal().max()
+    chol, piv, rank, _ = lapack.dpstrf(sym, tol=tol, lower=1)
+    inv, _ = lapack.dtrtri(chol[:rank, :rank], lower=1)
+    return c_cols[:, piv[:rank] - 1] @ np.tril(inv).T
+
+
+@pytest.mark.parametrize("rank", [1, 63, 64, 65, 130, 512])
+def test_column_blocked_product_matches_the_whole_product(monkeypatch, rank):
+    # 6 row tiles of 7 rows, then 3; ranks of one block, one block exactly,
+    # a ragged last block, and 8 blocks
+    assert kernels._COL_BLOCK == 64
+    rng = np.random.default_rng(rank)
+    x = rng.normal(size=(rank, rank + 8))
+    c = x @ x.T / (rank + 8) + np.eye(rank)
+    c_cols = rng.normal(size=(45, rank))
+    ref = whole_product_factor(c, c_cols)
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 7 * rank)
+    made = []
+
+    def columns(piv):
+        made.append(c_cols[:, piv])
+        return made[-1]
+
+    got = chol_factor(c, columns)
+    assert got.rank == rank
+    assert np.abs(got.q - ref).max() <= 1e-14 * np.abs(ref).max()
+    assert got.q is made[0]  # multiplied in place: no second N x k array
 
 
 # ---------------------------------------------------------------------------
