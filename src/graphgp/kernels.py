@@ -19,12 +19,11 @@ The ReLU expectation uses the closed form (Cho & Saul 2009)
 
     E[relu(z) relu(z')] = sqrt(K_xx K_x'x') * (sin t + (pi - t) rho) / (2 pi),
     rho = cos t = K_xx' / sqrt(K_xx K_x'x'),  t = arccos(rho),
-    sin t = sqrt(1 - rho^2),
 
 so the diagonal is halved exactly and the correlation version
 f(rho) = (sin t + (pi - t) rho) / pi maps [-1, 1] into [0, 1].  sin t is
 taken as sqrt(1 - rho^2), not as sin(arccos rho): three cheap passes in
-place of np.sin, which costs more than arccos, sqrt and the rest together.
+place of np.sin, the dearest pass of the expression.
 
 Memory: the ReLU expectation works in row tiles of about _TILE_ELEMENTS
 entries, writing into one preallocated output, so it holds its input, its

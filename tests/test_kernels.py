@@ -448,14 +448,16 @@ def test_negative_sigma_rejected():
 # row tiles: a tile of a few rows gives many tiles and a ragged last one
 
 
-def untiled_relu_gauss(k, d_rows, d_cols, var_floor):
-    """The ReLU expectation of a block as one whole-array expression."""
+def untiled_relu_gauss(k, d_rows, d_cols, var_floor, sin_arccos=False):
+    """The ReLU expectation of a block as one whole-array expression; with
+    ``sin_arccos``, sin t is taken as sin(arccos rho), the form it replaced."""
     alive_r, alive_c = d_rows > var_floor, d_cols > var_floor
     denom = np.outer(np.sqrt(np.where(alive_r, d_rows, 1.0)),
                      np.sqrt(np.where(alive_c, d_cols, 1.0)))
     rho = np.clip(k / denom, -1.0, 1.0)
     t = np.arccos(rho)
-    c = (0.5 / np.pi) * denom * (np.sqrt(1.0 - rho * rho) + (np.pi - t) * rho)
+    sin_t = np.sin(t) if sin_arccos else np.sqrt(1.0 - rho * rho)
+    c = (0.5 / np.pi) * denom * (sin_t + (np.pi - t) * rho)
     c[~alive_r, :] = 0.0
     c[:, ~alive_c] = 0.0
     return c
@@ -542,16 +544,9 @@ def test_graphconv_is_the_whole_matrix_expression(monkeypatch, operator, n, side
 # sin t as sqrt(1 - rho^2): against the sin(arccos rho) form it replaced
 
 def sin_arccos_relu_gauss(k, d, idx, var_floor):
-    """_relu_gauss of K[:, idx] with sin t taken as sin(arccos rho)."""
-    alive_r, alive_c = d > var_floor, d[idx] > var_floor
-    denom = np.outer(np.sqrt(np.where(alive_r, d, 1.0)),
-                     np.sqrt(np.where(alive_c, d[idx], 1.0)))
-    rho = np.clip(k / denom, -1.0, 1.0)
-    t = np.arccos(rho)
-    c = (0.5 / np.pi) * denom * (np.sin(t) + (np.pi - t) * rho)
-    c[~alive_r, :] = 0.0
-    c[:, ~alive_c] = 0.0
-    c[idx, np.arange(idx.size)] = np.where(alive_c, 0.5 * d[idx], 0.0)
+    """_relu_gauss of K[:, idx], diagonal included, with sin(arccos rho)."""
+    c = untiled_relu_gauss(k, d, d[idx], var_floor, sin_arccos=True)
+    c[idx, np.arange(idx.size)] = np.where(d[idx] > var_floor, 0.5 * d[idx], 0.0)
     return c
 
 
@@ -561,8 +556,7 @@ EDGE_RHO = [-1.0, np.nextafter(-1.0, 0.0), -1.0 - 2**-52, -0.0,
             0.0, np.nextafter(1.0, 0.0), 1.0, 1.0 + 2**-52]
 
 
-@pytest.mark.parametrize("tile_rows", [3, None])  # ragged row tiles, and the default
-def test_relu_gauss_matches_sin_arccos(monkeypatch, tile_rows):
+def test_relu_gauss_matches_sin_arccos():
     rng = np.random.default_rng(16)
     n, idx = 40, np.array([1, 4, 9, 22, 39])
     d = np.ones(n)
@@ -572,8 +566,6 @@ def test_relu_gauss_matches_sin_arccos(monkeypatch, tile_rows):
     k[5:9, [0, 2]] = np.reshape(EDGE_RHO, (4, 2))  # unit variances: k is rho
     floor = kernels.VAR_FLOOR_REL * d.max()
     ref = sin_arccos_relu_gauss(k, d, idx, floor)
-    if tile_rows:
-        monkeypatch.setattr(kernels, "_TILE_ELEMENTS", tile_rows * idx.size)
     got = kernels._relu_gauss(k, d, idx, out=np.empty_like(k))
     assert np.abs(got - ref).max() <= 4e-16 * np.abs(ref).max()
     # f(-1) = 0 exactly, where sin(arccos(-1)) = sin(pi) leaves 1e-16
