@@ -55,6 +55,12 @@ GOLDEN_RUNS = (
     ("infer", "--base", "poly", "--poly-c", "2", "--poly-d", "2"),
     ("infer", "--arch", "ggp", "--poly-c", "2", "--poly-d", "2"),
     ("depth-scan", "--base", "poly", "--layers", "4"),
+    # a dense layer with a non-unit weight and a bias, on both paths
+    ("infer", "--sigma-w", "1.5", "--sigma-b", "0.3"),
+    ("infer", "--path", "lowrank", "--sigma-w", "1.5", "--sigma-b", "0.3"),
+    ("infer", "--arch", "gin", "--sigma-w", "1.5", "--sigma-b", "0.3"),
+    ("infer", "--arch", "mlp", "--path", "lowrank", "--sigma-w", "0.8", "--sigma-b", "0.5"),
+    ("depth-scan", "--arch", "gcn", "--layers", "4", "--sigma-w", "1.5", "--sigma-b", "0.3"),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
