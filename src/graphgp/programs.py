@@ -154,6 +154,8 @@ def _layer(prog: KernelProgram, layer: int, held: list, skip, apply: Callable):
         return _chain(apply, held, conv, Weight(prog.sigma_w), Bias(prog.sigma_b),
                       Activation(), Weight(prog.sigma_w), Bias(prog.sigma_b))
     if prog.architecture == "sage":
+        if prog.sigma_w1 == 0.0:  # no self branch: no zero array, no zero columns
+            return _chain(apply, held, conv, Weight(prog.sigma_w2))
         # the input feeds both branches: the neighbour branch gets a second
         # list, and the self branch takes the input over
         neigh = _chain(apply, [held[0]], conv, Weight(prog.sigma_w2))

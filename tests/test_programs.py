@@ -242,6 +242,20 @@ def test_lowrank_rank_bookkeeping():
     assert q.rank == lm.count + q0.rank  # skip re-adds the base factor
 
 
+def test_default_sage_factor_is_no_wider_than_the_landmarks():
+    # sigma_w1 = 0, the default, has no self branch, so it appends no zero
+    # columns: each layer is the row-normalized gcn layer, factor for factor
+    n = 15
+    x = random_features(n, 6, seed=19)
+    lm = LandmarkSet.draw(np.arange(n), 5, seed=1)
+    row = row_operator(n, extra=3, seed=20)
+    q0 = nystrom_start(x, lm)
+    sage = lowrank_variant(KernelProgram.sage(row, 3, sigma_w2=1.2), q0, lm)
+    assert sage.rank <= lm.count
+    gcn = lowrank_variant(KernelProgram.gcn(row, 3, sigma_b=0.0, sigma_w=1.2), q0, lm)
+    assert np.array_equal(sage.q, gcn.q)
+
+
 def test_nystrom_start_landmark_rows():
     x = random_features(9, 4, seed=21)
     lm = LandmarkSet(np.array([0, 3, 8]))
