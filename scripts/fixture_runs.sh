@@ -11,6 +11,12 @@ cli infer --dataset $fixture
 for arch in gcnii gin sage mlp rbf ggp; do cli infer --dataset $fixture --arch $arch; done
 # every layered architecture runs through the pivoted Nystrom factor
 for arch in gcn gcnii gin sage mlp; do cli infer --dataset $fixture --arch $arch --path lowrank; done
+# a dense layer with a non-unit weight and a bias
+for arch in gcn gin mlp; do
+  for path in exact lowrank; do
+    cli infer --dataset $fixture --arch $arch --path $path --sigma-w 1.5 --sigma-b 0.3
+  done
+done
 # a fixed nugget is a one-point search, alone and inside rbf's gamma search
 for path in exact lowrank; do cli infer --dataset $fixture --path $path --nugget 0.1; done
 cli infer --dataset $fixture --arch rbf --nugget 0.1

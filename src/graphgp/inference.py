@@ -142,12 +142,6 @@ def _cho_shifted(gram: np.ndarray, nugget: float) -> np.ndarray:
     return _cholesky(_shifted(gram, nugget), overwrite=True)
 
 
-def _cho_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(c^T c)^{-1} b for an upper Cholesky factor c, from LAPACK dpotrs,
-    called as scipy's ``cho_solve`` calls it; ``b`` is not changed."""
-    return lapack.dpotrs(c, b, lower=0)[0]
-
-
 class ExactPosterior:
     """Factorized training block of a dense kernel, ready to predict.
 
@@ -180,7 +174,7 @@ class ExactPosterior:
         self.kernel = kernel
         self.train_idx = train_idx
         self.nugget = float(nugget)
-        self._coef = _cho_solve(factor, y)
+        self._coef = lapack.dpotrs(factor, y, lower=0)[0]
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
         """K[idx, train], which ``mean`` multiplies the coefficients by."""
@@ -205,7 +199,7 @@ class LowRankPosterior:
         self.factor = factor
         self.nugget = float(nugget)
         self._cho = _cho_shifted(gram, nugget)
-        self._coef = _cho_solve(self._cho, qty)
+        self._coef = lapack.dpotrs(self._cho, qty, lower=0)[0]
 
     def _rows(self, idx: np.ndarray) -> np.ndarray:
         """Q[idx], which ``mean`` multiplies the coefficients by."""

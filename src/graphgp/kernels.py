@@ -38,8 +38,10 @@ L^{-T} in place, one row tile at a time; so it holds its input Q and one
 N x k array, and a low-rank layer peaks near 2 N x r arrays.
 
 Passes: the dense ReLU expectation computes only the tiles on and above
-the diagonal and mirrors them below it; a unit Weight and a zero Bias
-return their input itself on both paths.  Tiling and mirroring change no
+the diagonal and mirrors them below it.  A dense layer, weight and bias,
+is one block (``Weight``) that makes one new array on either path,
+sigma_w^2 K + sigma_b^2 or [sigma_w Q, sigma_b 1]; with a unit weight and
+a zero bias it returns its input itself.  Tiling and mirroring change no
 operation on any element, nor their order, so for a bitwise-symmetric
 input (every kernel this package builds) the results are bit for bit
 those of the untiled full-matrix expression
@@ -159,25 +161,18 @@ class LandmarkSet:
 
 
 @dataclass(frozen=True)
-class Bias:
-    """Add an independent bias: K + sigma_b^2, or append a sigma_b column."""
-
-    sigma_b: float
-
-    def __post_init__(self):
-        if self.sigma_b < 0:
-            raise ValueError("sigma_b must be nonnegative")
-
-
-@dataclass(frozen=True)
 class Weight:
-    """Random dense weight: K * sigma_w^2, or Q * sigma_w."""
+    """Random dense layer, weight and bias: sigma_w^2 K + sigma_b^2, or
+    [sigma_w Q, sigma_b 1] (no bias column when sigma_b = 0)."""
 
     sigma_w: float
+    sigma_b: float = 0.0
 
     def __post_init__(self):
         if self.sigma_w < 0:
             raise ValueError("sigma_w must be nonnegative")
+        if self.sigma_b < 0:
+            raise ValueError("sigma_b must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -222,7 +217,7 @@ class IndependentAdd:
     other: Union[np.ndarray, LowRankFactor]
 
 
-Block = Union[Bias, Weight, MixedWeight, GraphConv, Activation, IndependentAdd]
+Block = Union[Weight, MixedWeight, GraphConv, Activation, IndependentAdd]
 
 
 # ---------------------------------------------------------------------------
@@ -477,12 +472,15 @@ def chol_factor(c_landmark: np.ndarray,
 def apply_block_exact(k: np.ndarray, block: Block) -> np.ndarray:
     """One building block on the dense path; never changes ``k``.
 
-    A zero bias or a unit weight returns ``k`` itself.
+    ``Weight(1.0, 0.0)`` returns ``k`` itself.
     """
-    if isinstance(block, Bias):
-        return k if block.sigma_b == 0.0 else k + block.sigma_b**2
     if isinstance(block, Weight):
-        return k if block.sigma_w == 1.0 else block.sigma_w**2 * k
+        if block.sigma_w == 1.0:
+            return k if block.sigma_b == 0.0 else k + block.sigma_b**2
+        out = block.sigma_w**2 * k
+        if block.sigma_b != 0.0:
+            out += block.sigma_b**2
+        return out
     if isinstance(block, MixedWeight):
         return block.scale_sq * k
     if isinstance(block, GraphConv):
@@ -510,16 +508,19 @@ def apply_block_lowrank(
 
     Only the activation needs the landmark set: it evaluates the ReLU
     expectation on the landmark columns of Q Q^T and re-factors.  A zero
-    bias leaves the factor untouched instead of appending a zero column,
-    and a unit weight returns it too.  Never changes ``factor``.
+    bias appends no zero column, and ``Weight(1.0, 0.0)`` returns the
+    factor itself.  Never changes ``factor``.
     """
-    if isinstance(block, Bias):
-        if block.sigma_b == 0.0:
-            return factor
-        col = np.full((factor.n, 1), block.sigma_b)
-        return LowRankFactor(np.hstack([factor.q, col]))
     if isinstance(block, Weight):
-        return factor if block.sigma_w == 1.0 else LowRankFactor(block.sigma_w * factor.q)
+        if block.sigma_b == 0.0:
+            return factor if block.sigma_w == 1.0 else LowRankFactor(block.sigma_w * factor.q)
+        q = np.empty((factor.n, factor.rank + 1))
+        if block.sigma_w == 1.0:
+            q[:, :-1] = factor.q
+        else:
+            np.multiply(block.sigma_w, factor.q, out=q[:, :-1])
+        q[:, -1] = block.sigma_b
+        return LowRankFactor(q)
     if isinstance(block, MixedWeight):
         return LowRankFactor(np.sqrt(block.scale_sq) * factor.q)
     if isinstance(block, GraphConv):

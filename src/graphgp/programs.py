@@ -34,7 +34,6 @@ import numpy as np
 from .adjacency import SparseAdjacency, identity_adjacency
 from .kernels import (
     Activation,
-    Bias,
     FactorizationError,
     GraphConv,
     IndependentAdd,
@@ -146,13 +145,13 @@ def _layer(prog: KernelProgram, layer: int, held: list, skip, apply: Callable):
     """
     conv = GraphConv(prog.a)
     if prog.architecture == "mlp":
-        return _chain(apply, held, Weight(prog.sigma_w), Bias(prog.sigma_b))
+        return _chain(apply, held, Weight(prog.sigma_w, prog.sigma_b))
     if prog.architecture == "gcn":
-        return _chain(apply, held, conv, Weight(prog.sigma_w), Bias(prog.sigma_b))
+        return _chain(apply, held, conv, Weight(prog.sigma_w, prog.sigma_b))
     if prog.architecture == "gin":
         # the inner Activation is a true pre-activation, so it always applies
-        return _chain(apply, held, conv, Weight(prog.sigma_w), Bias(prog.sigma_b),
-                      Activation(), Weight(prog.sigma_w), Bias(prog.sigma_b))
+        dense = Weight(prog.sigma_w, prog.sigma_b)
+        return _chain(apply, held, conv, dense, Activation(), dense)
     if prog.architecture == "sage":
         if prog.sigma_w1 == 0.0:  # no self branch: no zero array, no zero columns
             return _chain(apply, held, conv, Weight(prog.sigma_w2))
@@ -180,8 +179,8 @@ def _drive(program: KernelProgram, held: list, apply: Callable,
     the dense path a layer peaks near 3 N x N arrays (4 for gcnii), K0
     included, not counting kernels an observer keeps.  On the
     low-rank path it peaks near 2 N x r arrays: the Activation's input
-    beside the new factor, GraphConv's input beside A P, and Bias's
-    appended copy beside A P alone.
+    beside the new factor, GraphConv's input beside A P, and A P beside
+    the dense layer's [sigma_w A P, sigma_b 1].
     ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
     """
     skip = apply(held[0], Weight(program.alpha)) if program.uses_initial_skip else None
@@ -210,8 +209,8 @@ def run_exact(program: KernelProgram, k0,
     contrast, stays alive until the call returns (on Python 3.10 even the
     unnamed result of an expression does), and so does K0 with it.
 
-    A unit weight and a zero bias pass their input on, so mlp at depth 1
-    with sigma_w = 1 and sigma_b = 0 returns K0 itself.
+    ``Weight(1.0, 0.0)`` passes its input on, so mlp at depth 1 with
+    sigma_w = 1 and sigma_b = 0 returns K0 itself.
     """
     held = k0 if isinstance(k0, list) else [k0]
     del k0
@@ -302,8 +301,9 @@ def lowrank_variant(program: KernelProgram, q0,
     ``q0`` is the start factor, or a one-element list holding it, which is
     emptied and so handed over, as ``run_exact`` takes K0.  The rank stays
     bounded: every activation resets the basis to at most the landmark
-    count (the numerical rank of the landmark block), bias adds one column
-    when sigma_b > 0, and the gcnii skip re-adds rank(Q0) columns per layer.
+    count (the numerical rank of the landmark block), a dense layer appends
+    one bias column when sigma_b > 0, and the gcnii skip re-adds rank(Q0)
+    columns per layer.
     """
     held = q0 if isinstance(q0, list) else [q0]
     del q0

@@ -60,9 +60,9 @@ PATH_CHOICES = ("exact", "lowrank")
 ROW_NORMALIZED = ("sage", "ggp")
 GAMMA_GRID = tuple(np.logspace(-2, 2, 9))
 # N x N float64 arrays an exact-path infer holds at its peak, K0 included:
-# a layer's input, A K and the product (3), plus the gcnii skip; sage's
-# neighbour branch is made before its self branch takes the input over, so
-# it stays at 3.  ggp's one GraphConv is a layer, and rbf builds each
+# a layer's input, A K and the product (3), plus the gcnii skip; sage with
+# sigma_w1 > 0 makes its neighbour branch before its self branch takes the
+# input over, so it stays at 3, and with sigma_w1 = 0 it is a gcn layer.  ggp's one GraphConv is a layer, and rbf builds each
 # candidate kernel (2) beside the best fit's.  Traced runs at N = 1000, with
 # tile buffers of 2^14 entries, peaked at 3.00-3.02, and at 4.02 for gcnii.
 INFER_PEAK_NN = {"gcn": 3.1, "gin": 3.1, "mlp": 3.1, "ggp": 3.1, "rbf": 3.1,

@@ -5,7 +5,6 @@ from scipy.linalg import lapack
 from graphgp import kernels
 from graphgp import (
     Activation,
-    Bias,
     FactorizationError,
     GraphConv,
     IndependentAdd,
@@ -376,8 +375,9 @@ def test_block_coherence_each_block():
     a = sym_operator(n, extra=3, seed=1)
     other = LowRankFactor(rng.normal(size=(n, 2)))
 
-    assert _coherence(Bias(0.7), q) <= 1e-12
+    assert _coherence(Weight(1.0, 0.7), q) <= 1e-12
     assert _coherence(Weight(1.3), q) <= 1e-12
+    assert _coherence(Weight(1.3, 0.7), q) <= 1e-12
     assert _coherence(MixedWeight(0.8, 0.5, 1.1), q) <= 1e-12
     assert _coherence(GraphConv(a), q) <= 1e-12
 
@@ -401,8 +401,8 @@ def test_activation_needs_landmarks():
 
 def test_zero_bias_keeps_factor_object():
     q = LowRankFactor(np.ones((3, 2)))
-    assert apply_block_lowrank(q, Bias(0.0)) is q
-    widened = apply_block_lowrank(q, Bias(0.5))
+    assert apply_block_lowrank(q, Weight(1.0, 0.0)) is q
+    widened = apply_block_lowrank(q, Weight(1.0, 0.5))
     assert widened.rank == 3
     assert np.all(widened.q[:, -1] == 0.5)
 
@@ -437,7 +437,7 @@ def test_lowrank_activation_landmark_rows_halved():
 
 def test_negative_sigma_rejected():
     with pytest.raises(ValueError):
-        Bias(-0.1)
+        Weight(1.0, -0.1)
     with pytest.raises(ValueError):
         Weight(-1.0)
     with pytest.raises(ValueError):
@@ -664,7 +664,8 @@ def test_blocks_never_change_their_input():
     other = LowRankFactor(rng.normal(size=(n, 2)))
     k = q.gram()
     landmarks = LandmarkSet(np.array([0, 4, 7]))
-    shared = [Bias(0.0), Bias(0.7), Weight(1.0), Weight(1.3), MixedWeight(0.8, 0.5, 1.1),
+    shared = [Weight(1.0), Weight(1.3), Weight(1.0, 0.7), Weight(1.3, 0.7),
+              MixedWeight(0.8, 0.5, 1.1),
               GraphConv(sym_operator(n, extra=3, seed=1)), Activation()]
     pairs = [(b, b) for b in shared] + [(IndependentAdd(other.gram()), IndependentAdd(other))]
     for exact_block, lowrank_block in pairs:
@@ -678,9 +679,25 @@ def test_blocks_never_change_their_input():
 def test_identity_blocks_return_their_input():
     k = random_psd(6, 3)
     q = LowRankFactor(np.random.default_rng(3).normal(size=(6, 2)))
-    for block in (Weight(1.0), Bias(0.0)):
-        assert apply_block_exact(k, block) is k
-        assert apply_block_lowrank(q, block) is q
+    assert apply_block_exact(k, Weight(1.0, 0.0)) is k
+    assert apply_block_lowrank(q, Weight(1.0, 0.0)) is q
     assert apply_block_exact(k, Weight(1.5)) is not k
-    assert apply_block_exact(k, Bias(0.5)) is not k
+    assert apply_block_exact(k, Weight(1.0, 0.5)) is not k
+    assert apply_block_lowrank(q, Weight(1.0, 0.5)) is not q
     assert apply_block_lowrank(q, Weight(1.5)) is not q
+
+
+@pytest.mark.parametrize("sigma_w", [1.0, 1.3])
+@pytest.mark.parametrize("sigma_b", [0.0, 0.7])
+def test_dense_layer_is_the_two_step_rule_bit_for_bit(sigma_w, sigma_b):
+    # the dense layer rounds as the two-step rule does: sigma_w^2 K, then
+    # + sigma_b^2; sigma_w Q, then a sigma_b column
+    rng = np.random.default_rng(14)
+    k = random_psd(7, 4)
+    q = LowRankFactor(rng.normal(size=(7, 3)))
+    block = Weight(sigma_w, sigma_b)
+    assert np.array_equal(apply_block_exact(k, block), sigma_w**2 * k + sigma_b**2)
+    want = sigma_w * q.q
+    if sigma_b != 0.0:
+        want = np.hstack([want, np.full((7, 1), sigma_b)])
+    assert np.array_equal(apply_block_lowrank(q, block).q, want)
