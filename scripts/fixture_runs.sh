@@ -35,6 +35,7 @@ printf '[DEFAULT]\nwidth = 64\n[infer]\narch = sage\nlayers = 3\nsigma-w = 1.5\n
 cli infer --dataset $fixture --config "$ini"
 cli depth-scan --dataset $fixture --arch gcn --layers 4 --nugget 0.1
 for arch in gcn gcnii mlp; do cli depth-scan --dataset $fixture --arch $arch --layers 20; done
-for arch in gcn gin; do
-  cli mc-verify --dataset $fixture --arch $arch --width 64 --samples 5
+# the sampler draws every layered network, each with a ReLU between two maps
+for arch in gcn gcnii gin sage mlp; do
+  cli mc-verify --dataset $fixture --arch $arch --layers 3 --width 64 --samples 5
 done

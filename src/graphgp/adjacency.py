@@ -141,11 +141,6 @@ def build_adjacency(
     return _from_scipy(m, n_nodes)
 
 
-def identity_adjacency(n_nodes: int) -> SparseAdjacency:
-    """Identity operator; the graph-free (MLP) special case."""
-    return _from_scipy(sp.identity(n_nodes, format="csr"), n_nodes)
-
-
 def _normalize(a: SparseAdjacency, op: str, symmetric: bool) -> SparseAdjacency:
     """I + A0 scaled by (I+D)^{-1/2} on both sides, or by (I+D)^{-1} on the left."""
     if np.any(a.diagonal() != 0):

@@ -136,9 +136,17 @@ def _need(directory: str, name: str, *alternatives: str) -> str:
 
 
 def load_features(directory: str) -> np.ndarray:
-    """A dataset directory's features: features.csv, else features.bin."""
+    """A dataset directory's features: features.csv, else features.bin.
+
+    A NaN or infinite entry raises ValueError naming the file and the row.
+    """
     path = _need(directory, "features.csv", "features.bin")
-    return _load_features_csv(path) if path.endswith(".csv") else _load_features_bin(path)
+    x = _load_features_csv(path) if path.endswith(".csv") else _load_features_bin(path)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: row {bad[0]} has a non-finite feature "
+                         "(rows count from 0, as node ids do)")
+    return x
 
 
 def save_splits(splits: SplitIndices, path: str) -> None:

@@ -40,7 +40,12 @@ loop might later be scheduled.
 The gcnii surrogate draws an independent Gaussian lift of the features for
 the skip branch of every layer (and one more for the recursion base); the
 analytic rule adds the skip as an independent branch, and sharing one lift
-would introduce cross-covariances the rule deliberately drops.
+would introduce cross-covariances the rule deliberately drops.  GCNII's
+identity path is drawn as a Gaussian weight with the same second moment:
+the mixing map (1 - b_l) I + b_l W is one weight of scale
+s_l = sqrt((1 - b_l)^2 + b_l^2 sigma_w^2), as in the analytic rule.  An
+identity path would pass the ReLU outputs on as non-Gaussian
+pre-activations, which the NNGP recursion does not describe.
 """
 
 from __future__ import annotations
@@ -136,22 +141,22 @@ def _forward(cfg: McConfig, a_csr, x0: np.ndarray, rngs) -> np.ndarray:
         else:
             skip = _linear_draw([(x0, 1.0)], 0.0, d, rng)
             mixed = (1.0 - prog.alpha) * (a_csr @ inner) + prog.alpha * skip
-            beta = prog.beta_schedule[l]
-            lifted = _linear_draw([(mixed, prog.sigma_w)], 0.0, d, rng)
-            h = (1.0 - beta) * mixed + beta * lifted
+            h = _linear_draw([(mixed, prog.gcnii_scales[l])], 0.0, d, rng)
     return h
 
 
 def sample_covariance(cfg: McConfig, features: np.ndarray) -> np.ndarray:
     """Pooled empirical covariance of the final layer over all samples and
-    output units, on the program's operator."""
+    output units, on the program's operator (mlp has none: one node per
+    feature row)."""
     a = cfg.program.a
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[0] != a.n_nodes:
+    if features.ndim != 2 or (a is not None and features.shape[0] != a.n_nodes):
         raise ValueError("features must be 2-d with one row per node")
-    a_csr = a.to_csr()
+    a_csr = None if a is None else a.to_csr()
     streams_per_sample = cfg.program.depth + cfg.program.uses_initial_skip
-    acc = np.zeros((a.n_nodes, a.n_nodes))
+    n = features.shape[0]
+    acc = np.zeros((n, n))
     for seq in np.random.SeedSequence(cfg.seed).spawn(cfg.n_samples):
         rngs = [np.random.default_rng(s) for s in seq.spawn(streams_per_sample)]
         z = _forward(cfg, a_csr, features, rngs)

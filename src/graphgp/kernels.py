@@ -169,27 +169,10 @@ class Weight:
     sigma_b: float = 0.0
 
     def __post_init__(self):
-        if self.sigma_w < 0:
-            raise ValueError("sigma_w must be nonnegative")
-        if self.sigma_b < 0:
-            raise ValueError("sigma_b must be nonnegative")
-
-
-@dataclass(frozen=True)
-class MixedWeight:
-    """Deterministic/random mix (alpha I + beta W): scale by alpha^2 + beta^2 sigma_w^2."""
-
-    alpha: float
-    beta: float
-    sigma_w: float
-
-    def __post_init__(self):
-        if self.sigma_w < 0:
-            raise ValueError("sigma_w must be nonnegative")
-
-    @property
-    def scale_sq(self) -> float:
-        return self.alpha**2 + self.beta**2 * self.sigma_w**2
+        for name in ("sigma_w", "sigma_b"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be nonnegative and finite, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +200,7 @@ class IndependentAdd:
     other: Union[np.ndarray, LowRankFactor]
 
 
-Block = Union[Weight, MixedWeight, GraphConv, Activation, IndependentAdd]
+Block = Union[Weight, GraphConv, Activation, IndependentAdd]
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +220,8 @@ def base_inner(x: np.ndarray, y: Optional[np.ndarray] = None) -> np.ndarray:
 
 def base_rbf(x: np.ndarray, y: Optional[np.ndarray] = None, gamma: float = 1.0) -> np.ndarray:
     """Squared-exponential base exp(-gamma ||x - x'||^2); unit diagonal."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not (math.isfinite(gamma) and gamma > 0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x = np.asarray(x, dtype=np.float64)
     y = x if y is None else np.asarray(y, dtype=np.float64)
     return np.exp(-gamma * cdist(x, y, "sqeuclidean"))
@@ -252,8 +235,10 @@ def base_poly(
     For non-integer d the shifted inner product is clamped at zero before
     exponentiation so the power stays real.
     """
-    if c < 0:
-        raise ValueError("c must be nonnegative")
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be nonnegative and finite, got {c}")
+    if not math.isfinite(d):
+        raise ValueError(f"d must be finite, got {d}")
     x = np.asarray(x, dtype=np.float64)
     y = x if y is None else np.asarray(y, dtype=np.float64)
     base = x @ y.T + c
@@ -294,7 +279,9 @@ def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
     temporary.  A node with variance at or below ``var_floor`` (by default
     VAR_FLOOR_REL * max(d)) has no signal to propagate and gets zero rows
     and columns; a caller that passes only some rows passes the floor of
-    the whole kernel.  Each node's entry with itself, out[idx[j], j], is
+    the whole kernel.  A non-finite variance, or floor, raises ValueError:
+    NaN fails every comparison, so it would count as dead and zero its
+    node unseen.  Each node's entry with itself, out[idx[j], j], is
     exactly half its variance (arccos would round).  The dense path passes
     ``idx = arange(N)`` and ``symmetric``: each row tile then starts at the
     diagonal, so only the upper triangle of ``k_cols`` is read, and is
@@ -302,6 +289,9 @@ def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
     """
     if var_floor is None:
         var_floor = VAR_FLOOR_REL * (d.max() if d.size else 0.0)
+    if not (np.isfinite(var_floor) and np.isfinite(d).all()):
+        raise ValueError("the kernel has a non-finite variance (NaN or inf on its "
+                         "diagonal), so its ReLU expectation is undefined")
     d_cols = d[idx]
     alive_r = d > var_floor
     alive_c = d_cols > var_floor
@@ -481,8 +471,6 @@ def apply_block_exact(k: np.ndarray, block: Block) -> np.ndarray:
         if block.sigma_b != 0.0:
             out += block.sigma_b**2
         return out
-    if isinstance(block, MixedWeight):
-        return block.scale_sq * k
     if isinstance(block, GraphConv):
         if block.a.n_nodes != k.shape[0]:
             raise ValueError(
@@ -521,8 +509,6 @@ def apply_block_lowrank(
             np.multiply(block.sigma_w, factor.q, out=q[:, :-1])
         q[:, -1] = block.sigma_b
         return LowRankFactor(q)
-    if isinstance(block, MixedWeight):
-        return LowRankFactor(np.sqrt(block.scale_sq) * factor.q)
     if isinstance(block, GraphConv):
         if block.a.n_nodes != factor.n:
             raise ValueError(

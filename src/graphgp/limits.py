@@ -212,8 +212,13 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
     (positive diagonal, which both normalizations guarantee via their
     self-loops); the depth-limit statements assume exactly that.  The
     optional ``per_layer`` callback sees each dense kernel as it is produced.
+    A program with no operator (mlp) is rejected; ``mlp_fixed_point`` scans
+    the graph-free recursion.
     """
     a = program.a
+    if a is None:
+        raise ValueError(f"depth scan needs a graph operator, and {program.architecture} "
+                         "has none; mlp_fixed_point scans the graph-free recursion")
     require_memory(a.n_nodes, SCAN_PEAK_NN - 1, "depth scan")
     m = a.to_csr()
     asym = np.abs(m - m.T)
@@ -271,7 +276,7 @@ def mlp_recursion(k0: np.ndarray, sigma_b: float, sigma_w: float, depth: int) ->
     program's ``run_exact`` through its ``on_layer`` hook.
     """
     k0 = np.asarray(k0, dtype=np.float64)
-    program = KernelProgram.mlp(k0.shape[0], depth, sigma_b=sigma_b, sigma_w=sigma_w)
+    program = KernelProgram.mlp(depth, sigma_b=sigma_b, sigma_w=sigma_w)
     out: List[np.ndarray] = []
     run_exact(program, relu_expectation(k0), on_layer=lambda _, k: out.append(k))
     return out
@@ -308,7 +313,7 @@ def mlp_fixed_point(sigma_b: float, sigma_w: float, k0: np.ndarray,
     where neither limit statement applies; that regime is rejected.
     """
     k0 = np.asarray(k0, dtype=np.float64)
-    program = KernelProgram.mlp(k0.shape[0], depth, sigma_b=sigma_b, sigma_w=sigma_w)
+    program = KernelProgram.mlp(depth, sigma_b=sigma_b, sigma_w=sigma_w)
     # sqrt(2)**2 misses 2.0 by one ulp, so an exact test would never fire;
     # treat the whole rounding neighborhood as the threshold
     if abs(sigma_w**2 - 2.0) <= 1e-12:

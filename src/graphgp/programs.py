@@ -1,20 +1,23 @@
 """Architecture compositions: whole networks as covariance programs.
 
-A program fixes a graph operator, a depth and the layer hyperparameters;
-running it folds the building blocks of kernels.py over either the dense
-kernel or the low-rank factor.  Per-layer updates (K dense, Q factor, A the
-operator, g the ReLU expectation):
+A program fixes a graph operator (none for mlp), a depth and the layer
+hyperparameters; running it folds the building blocks of kernels.py over
+either the dense kernel or the low-rank factor.  Per-layer updates (K dense,
+Q factor, A the operator, g the ReLU expectation):
 
   gcn    K <- sigma_w^2 A g(K) A^T + sigma_b^2
          Q <- [sigma_w A chol(g(Q Q^T)), sigma_b 1]
-  gcnii  K <- ((1-a)^2 A g(K) A^T + a^2 K0) * ((1-b_l)^2 + b_l^2 sigma_w^2)
+  gcnii  K <- s_l^2 ((1-a)^2 A g(K) A^T + a^2 K0),
+         s_l^2 = (1-b_l)^2 + b_l^2 sigma_w^2,  b_l = log(decay / l + 1)
   gin    K <- sigma_w^2 g(B) + sigma_b^2,  B = sigma_w^2 A g(K) A^T + sigma_b^2
   sage   K <- sigma_w1^2 g(K) + sigma_w2^2 A g(K) A^T   (row-normalized A)
   mlp    K <- sigma_w^2 g(K) + sigma_b^2   (gcn without the operator)
 
 The first layer consumes the base covariance K0 directly (no activation in
 front of the first linear map); inner activations, like the second stage of
-a gin layer, always apply.
+a gin layer, always apply.  gcnii's mixing map (1-b_l) I + b_l W is one
+dense layer ``Weight(s_l)``: the Gaussian weight with the map's second
+moment, whose NNGP rule is the same scale.
 
 Each layer is one block recipe (``_layer``), written against an
 ``apply(rep, block)`` callable: ``run_exact`` reads it with
@@ -25,13 +28,15 @@ Both keep only the current layer alive and return the final one;
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-from .adjacency import SparseAdjacency, identity_adjacency
+from .adjacency import SparseAdjacency
 from .kernels import (
     Activation,
     FactorizationError,
@@ -39,7 +44,6 @@ from .kernels import (
     IndependentAdd,
     LandmarkSet,
     LowRankFactor,
-    MixedWeight,
     Weight,
     apply_block_exact,
     apply_block_lowrank,
@@ -54,47 +58,61 @@ def gcnii_beta_schedule(depth: int, decay: float = 0.5) -> tuple:
     """Per-layer mixing strengths beta_l = log(decay / l + 1), l = 1..depth."""
     if depth < 1:
         raise ValueError("depth must be positive")
-    if not decay >= 0:
-        raise ValueError(f"decay must be nonnegative to keep every beta finite, got {decay}")
+    if not (math.isfinite(decay) and decay >= 0):
+        raise ValueError(f"decay must be nonnegative and finite, got {decay}")
     layers = np.arange(1, depth + 1)
     return tuple(np.log(decay / layers + 1.0))
 
 
 @dataclass(frozen=True, eq=False)
 class KernelProgram:
-    """An architecture bound to its operator, depth and hyperparameters."""
+    """An architecture bound to its operator, depth and hyperparameters.
+
+    ``a`` is the graph operator; mlp has none and takes ``a=None``, which
+    no other architecture may.  gcnii's ``decay`` (lambda of GCNII) sets its
+    per-layer mixing strengths ``gcnii_beta_schedule(depth, decay)``, and
+    ``alpha`` the weight of its initial skip.  Every hyperparameter must be
+    finite, each sigma and ``decay`` nonnegative and ``alpha`` in [0, 1].
+    """
 
     architecture: str
-    a: SparseAdjacency
+    a: Optional[SparseAdjacency]
     depth: int
     sigma_b: float = 0.0
     sigma_w: float = 1.0
     alpha: float = 0.1
-    beta_schedule: tuple = ()
+    decay: float = 0.5
     sigma_w1: float = 0.0
     sigma_w2: float = 1.0
 
     def __post_init__(self):
         if self.architecture not in ARCHITECTURES:
             raise ValueError(f"unknown architecture {self.architecture!r}")
+        if (self.a is None) != (self.architecture == "mlp"):
+            raise ValueError("mlp has no graph operator; pass a=None" if self.a is not None
+                             else f"{self.architecture} needs a graph operator")
         if self.depth < 1:
             raise ValueError("depth must be positive")
-        if min(self.sigma_b, self.sigma_w, self.sigma_w1, self.sigma_w2) < 0:
-            raise ValueError("sigma parameters must be nonnegative")
+        for name in ("sigma_b", "sigma_w", "sigma_w1", "sigma_w2", "decay"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                kind = "decay" if name == "decay" else "sigma parameters"
+                raise ValueError(f"{kind} must be nonnegative and finite, got {name} = {value}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if not np.isfinite(self.beta_schedule).all():
-            raise ValueError("beta schedule entries must be finite")
-        if self.architecture == "gcnii" and len(self.beta_schedule) != self.depth:
-            raise ValueError(
-                f"gcnii needs one beta per layer: got {len(self.beta_schedule)} "
-                f"for depth {self.depth}"
-            )
 
     @property
     def uses_initial_skip(self) -> bool:
         """True when layers re-add the layer-0 covariance (gcnii)."""
         return self.architecture == "gcnii"
+
+    @cached_property
+    def gcnii_scales(self) -> tuple:
+        """Per-layer scale s_l of gcnii's mixing map (1 - b_l) I + b_l W,
+        s_l = sqrt((1 - b_l)^2 + b_l^2 sigma_w^2): the one Gaussian weight
+        with the map's second moment.  Computed once per program."""
+        return tuple(np.sqrt((1.0 - b)**2 + b**2 * self.sigma_w**2)
+                     for b in gcnii_beta_schedule(self.depth, self.decay))
 
     # constructors ---------------------------------------------------------
 
@@ -103,16 +121,12 @@ class KernelProgram:
         return cls("gcn", a, depth, sigma_b=sigma_b, sigma_w=sigma_w)
 
     @classmethod
-    def mlp(cls, n_nodes, depth, sigma_b=0.0, sigma_w=1.0):
-        return cls("mlp", identity_adjacency(n_nodes), depth,
-                   sigma_b=sigma_b, sigma_w=sigma_w)
+    def mlp(cls, depth, sigma_b=0.0, sigma_w=1.0):
+        return cls("mlp", None, depth, sigma_b=sigma_b, sigma_w=sigma_w)
 
     @classmethod
-    def gcnii(cls, a, depth, sigma_w=1.0, alpha=0.1, beta_schedule=None):
-        if beta_schedule is None:
-            beta_schedule = gcnii_beta_schedule(depth)
-        return cls("gcnii", a, depth, sigma_w=sigma_w, alpha=alpha,
-                   beta_schedule=tuple(beta_schedule))
+    def gcnii(cls, a, depth, sigma_w=1.0, alpha=0.1, decay=0.5):
+        return cls("gcnii", a, depth, sigma_w=sigma_w, alpha=alpha, decay=decay)
 
     @classmethod
     def gin(cls, a, depth, sigma_b=0.0, sigma_w=1.0):
@@ -143,9 +157,9 @@ def _layer(prog: KernelProgram, layer: int, held: list, skip, apply: Callable):
     ``held`` is a one-element list with the layer's input after its
     activation, which ``_drive`` applies; the layer empties it.
     """
-    conv = GraphConv(prog.a)
     if prog.architecture == "mlp":
         return _chain(apply, held, Weight(prog.sigma_w, prog.sigma_b))
+    conv = GraphConv(prog.a)
     if prog.architecture == "gcn":
         return _chain(apply, held, conv, Weight(prog.sigma_w, prog.sigma_b))
     if prog.architecture == "gin":
@@ -159,9 +173,8 @@ def _layer(prog: KernelProgram, layer: int, held: list, skip, apply: Callable):
         # list, and the self branch takes the input over
         neigh = _chain(apply, [held[0]], conv, Weight(prog.sigma_w2))
         return _chain(apply, held, Weight(prog.sigma_w1), IndependentAdd(neigh))
-    beta = prog.beta_schedule[layer]
     return _chain(apply, held, conv, Weight(1.0 - prog.alpha), IndependentAdd(skip),
-                  MixedWeight(1.0 - beta, beta, prog.sigma_w))
+                  Weight(prog.gcnii_scales[layer]))
 
 
 def _drive(program: KernelProgram, held: list, apply: Callable,
@@ -202,12 +215,14 @@ def run_exact(program: KernelProgram, k0,
               on_layer: Optional[Callable[[int, np.ndarray], None]] = None) -> np.ndarray:
     """Final dense kernel K^(depth); ``on_layer(l, K^(l))`` sees every layer.
 
-    ``k0`` is the base kernel, or a one-element list holding it.  A list is
-    emptied, which hands K0 over: run_exact then holds its only reference
-    and drops it after layer 1, so K0 counts towards the 3 N x N arrays of
-    a layer's peak and not on top of them.  A caller's array argument, by
-    contrast, stays alive until the call returns (on Python 3.10 even the
-    unnamed result of an expression does), and so does K0 with it.
+    ``k0`` is the N x N base kernel, or a one-element list holding it; N
+    is the operator's size, or for mlp, which has no operator, the
+    kernel's own.  A list is emptied, which hands K0 over: run_exact then
+    holds its only reference and drops it after layer 1, so K0 counts
+    towards the 3 N x N arrays of a layer's peak and not on top of them.  A
+    caller's array argument, by contrast, stays alive until the call
+    returns (on Python 3.10 even the unnamed result of an expression does),
+    and so does K0 with it.
 
     ``Weight(1.0, 0.0)`` passes its input on, so mlp at depth 1 with
     sigma_w = 1 and sigma_b = 0 returns K0 itself.
@@ -215,11 +230,10 @@ def run_exact(program: KernelProgram, k0,
     held = k0 if isinstance(k0, list) else [k0]
     del k0
     held[0] = np.asarray(held[0], dtype=np.float64)
-    n = program.a.n_nodes
-    if held[0].shape != (n, n):
-        raise ValueError(
-            f"base kernel shape {held[0].shape} does not match operator size {n}"
-        )
+    shape = held[0].shape
+    n = program.a.n_nodes if program.a is not None else shape[0] if shape else 0
+    if shape != (n, n):
+        raise ValueError(f"base kernel shape {shape} does not match {n} nodes")
     return _drive(program, held, apply_block_exact, on_layer)
 
 
@@ -299,7 +313,9 @@ def lowrank_variant(program: KernelProgram, q0,
     """Run the program on a factor; a failing layer names itself.
 
     ``q0`` is the start factor, or a one-element list holding it, which is
-    emptied and so handed over, as ``run_exact`` takes K0.  The rank stays
+    emptied and so handed over, as ``run_exact`` takes K0.  It has one row
+    per node of the operator; mlp, which has no operator, takes any number
+    of rows.  The rank stays
     bounded: every activation resets the basis to at most the landmark
     count (the numerical rank of the landmark block), a dense layer appends
     one bias column when sigma_b > 0, and the gcnii skip re-adds rank(Q0)
@@ -307,7 +323,7 @@ def lowrank_variant(program: KernelProgram, q0,
     """
     held = q0 if isinstance(q0, list) else [q0]
     del q0
-    if held[0].n != program.a.n_nodes:
+    if program.a is not None and held[0].n != program.a.n_nodes:
         raise ValueError(
             f"factor size {held[0].n} does not match operator size {program.a.n_nodes}"
         )

@@ -8,6 +8,7 @@ quantities (timings, of course, vary).
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from contextlib import contextmanager
@@ -17,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adjacency import identity_adjacency, normalize_row, normalize_sym
+from .adjacency import normalize_row, normalize_sym
 from .datasets import (
     Dataset,
     load_dataset,
@@ -47,7 +48,6 @@ from .limits import MLP_SCAN_PEAK_NN, SCAN_PEAK_NN, depth_scan, mlp_fixed_point
 from .programs import (
     ARCHITECTURES,
     KernelProgram,
-    gcnii_beta_schedule,
     lowrank_variant,
     nystrom_start,
     require_memory,
@@ -123,12 +123,13 @@ class RunConfig:
             raise ValueError("layers must be positive")
         if self.landmarks is not None and self.landmarks < 1:
             raise ValueError("landmarks must be positive")
-        if self.nugget is not None and self.nugget <= 0:
-            raise ValueError("nugget must be positive")
+        if self.nugget is not None and not 0 < self.nugget < math.inf:
+            raise ValueError(f"nugget must be positive and finite, got {self.nugget}")
         lo, hi, count = self.nugget_grid
-        if lo <= 0 or hi <= lo or int(count) < 1:
+        if not (0 < lo < hi < math.inf and int(count) >= 1):
             raise ValueError(
-                "nugget-grid must be LO,HI,POINTS with 0 < LO < HI and POINTS >= 1"
+                "nugget-grid must be LO,HI,POINTS with 0 < LO < HI and POINTS >= 1, "
+                f"LO and HI finite; got {lo:g},{hi:g},{count}"
             )
 
 
@@ -156,10 +157,9 @@ def _default_sigma_b(cfg: RunConfig, task: str) -> float:
 
 
 def _operator_for(arch: str, ds: Dataset):
-    if arch == "rbf":
+    """The graph operator of an architecture; None for rbf and mlp."""
+    if arch in ("rbf", "mlp"):
         return None
-    if arch == "mlp":
-        return identity_adjacency(ds.n_nodes)
     if arch in ROW_NORMALIZED:
         return normalize_row(ds.graph)
     return normalize_sym(ds.graph)
@@ -191,17 +191,16 @@ def _base_callable(cfg: RunConfig, gamma: Optional[float]):
 
 def _program_for(cfg: RunConfig, a, sigma_b: float) -> KernelProgram:
     """The run's layered program, built from (and so validating) every
-    hyperparameter of ``cfg``; only gcnii gets a beta schedule.  The one
-    place a run rejects ggp and rbf, which have no layered program."""
+    hyperparameter of ``cfg``.  The one place a run rejects ggp and rbf,
+    which have no layered program."""
     if cfg.arch not in ARCHITECTURES:
         raise ValueError(
             f"this command runs the layered architectures {', '.join(ARCHITECTURES)}, "
             f"not {cfg.arch!r}"
         )
-    betas = gcnii_beta_schedule(cfg.layers, cfg.decay) if cfg.arch == "gcnii" else ()
     return KernelProgram(
         cfg.arch, a, cfg.layers, sigma_b=sigma_b, sigma_w=cfg.sigma_w, alpha=cfg.alpha,
-        beta_schedule=betas, sigma_w1=cfg.sigma_w1, sigma_w2=cfg.sigma_w2,
+        decay=cfg.decay, sigma_w1=cfg.sigma_w1, sigma_w2=cfg.sigma_w2,
     )
 
 
@@ -228,12 +227,12 @@ def _preprocess(cfg: RunConfig, ds: Dataset, landmark_count: Optional[int]) -> n
     return feats
 
 
-def _build_representation(cfg: RunConfig, a, feats, sigma_b: float,
+def _build_representation(cfg: RunConfig, program: Optional[KernelProgram], a, feats,
                           landmarks: Optional[LandmarkSet], gamma: Optional[float]):
     """The run's kernel: dense array (exact) or LowRankFactor (lowrank).
 
     Both start from the base covariance: rbf returns it, ggp applies one
-    GraphConv, and the layered architectures run their program on it.  K0
+    GraphConv, and the layered architectures run ``program`` on it.  K0
     or the start factor is handed to ``run_exact`` or ``lowrank_variant`` in
     a list, so that it can be released after layer 1."""
     base_fn = _base_callable(cfg, gamma)
@@ -246,7 +245,6 @@ def _build_representation(cfg: RunConfig, a, feats, sigma_b: float,
         return rep
     if cfg.arch == "ggp":
         return apply(rep, GraphConv(a))
-    program = _program_for(cfg, a, sigma_b)
     held = [rep]
     del rep
     if cfg.path == "lowrank":
@@ -301,6 +299,7 @@ def run_infer(cfg: RunConfig) -> Report:
         landmarks = _pick_landmarks(cfg, ds.splits.train, ds.n_nodes)
     feats = _preprocess(cfg, ds, landmarks.count if landmarks else None)
     a = _operator_for(cfg.arch, ds)
+    program = _program_for(cfg, a, sigma_b) if cfg.arch in ARCHITECTURES else None
     if cfg.path == "exact":
         # fail before K0, the first N x N array, is made; the count includes it
         require_memory(ds.n_nodes, INFER_PEAK_NN[cfg.arch], "infer --path exact",
@@ -316,7 +315,7 @@ def run_infer(cfg: RunConfig) -> Report:
     search_rows = []
     for gamma in gamma_candidates:
         with phases.phase("kernel_build"):
-            rep = _build_representation(cfg, a, feats, sigma_b, landmarks, gamma)
+            rep = _build_representation(cfg, program, a, feats, landmarks, gamma)
         with phases.phase("nugget_search"):
             fit, trace = nugget_search(rep, ds.splits, ds.targets, _search_grid(cfg), task)
         for eps_i, score_i in trace:

@@ -19,8 +19,6 @@ from graphgp import (
     SplitIndices,
     base_inner,
     build_adjacency,
-    gcnii_beta_schedule,
-    identity_adjacency,
     lowrank_variant,
     normalize_row,
     normalize_sym,
@@ -75,11 +73,10 @@ def kernel(ds, arch, path, landmarks=None):
     """The depth-3 kernel, dense or as the Gram of its factor; the landmarks
     are the training nodes unless given."""
     if arch == "mlp":
-        op = identity_adjacency(N)
+        op = None
     else:
         op = normalize_row(ds.graph) if arch == "sage" else normalize_sym(ds.graph)
-    betas = gcnii_beta_schedule(3) if arch == "gcnii" else ()
-    prog = KernelProgram(arch, op, 3, sigma_w=1.1, sigma_w1=0.5, beta_schedule=betas)
+    prog = KernelProgram(arch, op, 3, sigma_w=1.1, sigma_w1=0.5)
     if path == "exact":
         return run_exact(prog, base_inner(ds.features))
     marks = landmarks or LandmarkSet(np.sort(ds.splits.train))

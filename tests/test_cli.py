@@ -220,15 +220,16 @@ def test_infer_fits_once_per_grid_point_and_never_refits(path, capsys, monkeypat
 
 
 @pytest.mark.parametrize("flags", [(), ("--nugget", "0.1")], ids=["searched", "fixed"])
-def test_infer_without_a_finite_validation_score_reports(flags, tmp_path, capsys):
+def test_infer_without_a_finite_validation_score_reports(flags, monkeypatch, capsys):
     # a NaN feature on a validation node makes its rbf kernel row NaN, so
     # every validation R^2 is NaN; the run warns and reports the fit at the
-    # smallest candidate instead of failing
+    # smallest candidate instead of failing.  A features file with a NaN is
+    # rejected when it is read, so the dataset reaches the runner in memory.
     ds = synthetic_dataset(60, seed=3)
     ds.features[ds.splits.val[0], 0] = np.nan
-    save_dataset(ds, str(tmp_path / "ds"))
+    monkeypatch.setattr(runners, "load_dataset", lambda path: ds)
     with pytest.warns(RuntimeWarning, match="no validation score is finite"):
-        code, out, err = run_cli(capsys, "infer", "--dataset", str(tmp_path / "ds"),
+        code, out, err = run_cli(capsys, "infer", "--dataset", "in-memory",
                                  "--arch", "rbf", "--gamma", "0.5", *flags)
     assert (code, err) == (0, "")
     lines = out.splitlines()
@@ -651,6 +652,43 @@ def test_invalid_hyperparameters_are_rejected(args, message, capsys):
     code, out, err = run_cli(capsys, *args, "--dataset", FIXTURE_DIR)
     assert (code, out) == (1, "")
     assert message in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("args, name", [
+    (("--nugget", "{}"), "nugget must be positive and finite"),
+    (("--nugget-grid", "0.1,{},5"), "nugget-grid must be"),
+    (("--base", "rbf", "--gamma", "{}"), "gamma must be positive and finite"),
+    (("--base", "poly", "--poly-c", "{}"), "c must be nonnegative and finite"),
+    (("--base", "poly", "--poly-d", "{}"), "d must be finite"),
+    (("--sigma-b", "{}"), "got sigma_b = "),
+    (("--sigma-w", "{}"), "got sigma_w = "),
+    (("--arch", "sage", "--sigma-w1", "{}"), "got sigma_w1 = "),
+    (("--arch", "sage", "--sigma-w2", "{}"), "got sigma_w2 = "),
+], ids=["nugget", "nugget-grid", "gamma", "poly-c", "poly-d", "sigma-b", "sigma-w",
+        "sigma-w1", "sigma-w2"])
+def test_non_finite_hyperparameters_fail_at_their_flag(args, name, value, capsys):
+    code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR,
+                             *(arg.format(value) for arg in args))
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert name in lines[0] and value in lines[0], err
+
+
+@pytest.mark.parametrize("path", ["exact", "lowrank"])
+def test_a_non_finite_feature_fails_when_read(path, tmp_path, capsys):
+    # GraphConv would spread a NaN over the kernel, and the ReLU floor would
+    # then zero every node: infer used to exit 0 with a micro-F1 of 0
+    d = tmp_path / "nan_feature"
+    shutil.copytree(FIXTURE_DIR, d)
+    rows = (d / "features.csv").read_text().splitlines()
+    rows[2] = "nan," + rows[2].split(",", 1)[1]
+    (d / "features.csv").write_text("\n".join(rows) + "\n")
+    code, out, err = run_cli(capsys, "infer", "--dataset", str(d), "--path", path)
+    assert (code, out) == (1, "")
+    assert err == (f"error: {d / 'features.csv'}: row 2 has a non-finite feature "
+                   "(rows count from 0, as node ids do)\n")
 
 
 def test_nugget_grid_needs_a_point(capsys):

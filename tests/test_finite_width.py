@@ -146,7 +146,25 @@ def test_sage_self_branch_matches_analytic_kernel():
 
 def test_graph_free_draws_match_analytic_kernel():
     x = random_features(6, 5, 2)
-    prog = KernelProgram.mlp(6, 3, sigma_b=0.3, sigma_w=1.2)
+    prog = KernelProgram.mlp(3, sigma_b=0.3, sigma_w=1.2)
     k = run_exact(prog, base_inner(x))
     cfg = McConfig(prog, 512, 80, seed=13)
+    assert compare_covariance(sample_covariance(cfg, x), k) <= 0.04
+
+
+@pytest.mark.parametrize("arch", ["gcn", "gcnii", "gin", "sage", "mlp"])
+def test_every_architecture_draws_match_analytic_kernel_at_depth_3(arch):
+    # three layers put a ReLU in front of two linear maps; gcnii's mixing map
+    # is drawn as one Gaussian weight, the network its kernel describes
+    x = random_features(8, 6, 1)
+    programs = {
+        "gcn": KernelProgram.gcn(sym_operator(8, 5, 0), 3, sigma_b=0.2),
+        "gcnii": KernelProgram.gcnii(sym_operator(8, 5, 0), 3, sigma_w=1.2),
+        "gin": KernelProgram.gin(sym_operator(8, 5, 0), 3, sigma_b=0.2),
+        "sage": KernelProgram.sage(row_operator(8, 5, 0), 3, sigma_w1=0.8),
+        "mlp": KernelProgram.mlp(3, sigma_b=0.3, sigma_w=1.2),
+    }
+    prog = programs[arch]
+    k = run_exact(prog, base_inner(x))
+    cfg = McConfig(prog, 1024, 60, seed=17)
     assert compare_covariance(sample_covariance(cfg, x), k) <= 0.04

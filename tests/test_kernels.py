@@ -10,7 +10,6 @@ from graphgp import (
     IndependentAdd,
     LandmarkSet,
     LowRankFactor,
-    MixedWeight,
     Weight,
     apply_block_exact,
     apply_block_lowrank,
@@ -85,6 +84,20 @@ def test_relu_degenerate_node_zeroed():
     keep = [0, 1, 3, 4]
     sub = relu_expectation(k[np.ix_(keep, keep)])
     assert np.abs(got[np.ix_(keep, keep)] - sub).max() <= 1e-14
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_relu_expectation_rejects_a_non_finite_variance(bad):
+    # NaN fails every comparison with the variance floor, so a NaN node
+    # would count as dead and the whole kernel be zeroed unseen
+    k = random_psd(5, 2)
+    k[2, :] = k[:, 2] = bad
+    with pytest.raises(ValueError, match="non-finite variance"):
+        relu_expectation(k)
+    q = LowRankFactor(np.random.default_rng(4).normal(size=(5, 3)))
+    q.q[2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite variance"):
+        apply_block_lowrank(q, Activation(), LandmarkSet(np.array([0, 1, 4])))
 
 
 def test_relu_preserves_psd():
@@ -378,7 +391,6 @@ def test_block_coherence_each_block():
     assert _coherence(Weight(1.0, 0.7), q) <= 1e-12
     assert _coherence(Weight(1.3), q) <= 1e-12
     assert _coherence(Weight(1.3, 0.7), q) <= 1e-12
-    assert _coherence(MixedWeight(0.8, 0.5, 1.1), q) <= 1e-12
     assert _coherence(GraphConv(a), q) <= 1e-12
 
     # IndependentAdd needs matching representations of the same branch
@@ -440,8 +452,6 @@ def test_negative_sigma_rejected():
         Weight(1.0, -0.1)
     with pytest.raises(ValueError):
         Weight(-1.0)
-    with pytest.raises(ValueError):
-        MixedWeight(0.5, 0.5, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +675,6 @@ def test_blocks_never_change_their_input():
     k = q.gram()
     landmarks = LandmarkSet(np.array([0, 4, 7]))
     shared = [Weight(1.0), Weight(1.3), Weight(1.0, 0.7), Weight(1.3, 0.7),
-              MixedWeight(0.8, 0.5, 1.1),
               GraphConv(sym_operator(n, extra=3, seed=1)), Activation()]
     pairs = [(b, b) for b in shared] + [(IndependentAdd(other.gram()), IndependentAdd(other))]
     for exact_block, lowrank_block in pairs:

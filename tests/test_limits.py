@@ -99,6 +99,11 @@ def test_scan_rejects_disconnected_graph():
         depth_scan(prog, np.eye(4))
 
 
+def test_scan_rejects_a_program_without_an_operator():
+    with pytest.raises(ValueError, match="needs a graph operator, and mlp has none"):
+        depth_scan(KernelProgram.mlp(2), np.eye(3))
+
+
 def test_scan_rejects_zero_diagonal():
     # raw triangle: symmetric and connected but without the self-loops
     # that make the operator aperiodic

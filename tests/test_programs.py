@@ -17,7 +17,6 @@ from graphgp import (
     build_adjacency,
     compare_covariance,
     gcnii_beta_schedule,
-    identity_adjacency,
     lowrank_variant,
     normalize_row,
     normalize_sym,
@@ -76,11 +75,10 @@ def test_first_layer_skips_activation():
 def test_mlp_is_gcn_on_identity():
     n = 7
     k0 = base_inner(random_features(n, 4, seed=4))
-    prog = KernelProgram.mlp(n, 3, sigma_b=0.2, sigma_w=1.1)
+    prog = KernelProgram.mlp(3, sigma_b=0.2, sigma_w=1.1)
     via_mlp = every_layer(prog, k0)
-    via_gcn = every_layer(
-        KernelProgram.gcn(identity_adjacency(n), 3, sigma_b=0.2, sigma_w=1.1), k0
-    )
+    identity = normalize_sym(build_adjacency(np.zeros((0, 2)), n))
+    via_gcn = every_layer(KernelProgram.gcn(identity, 3, sigma_b=0.2, sigma_w=1.1), k0)
     assert len(via_mlp) == len(via_gcn) == 3
     for m, g in zip(via_mlp, via_gcn):
         assert np.array_equal(m, g)
@@ -187,18 +185,27 @@ def test_program_validation():
         KernelProgram("resnet", a, 2)
     with pytest.raises(ValueError, match="depth"):
         KernelProgram("gcn", a, 0)
-    with pytest.raises(ValueError, match="one beta per layer"):
-        KernelProgram("gcnii", a, 3, beta_schedule=(0.1,))
     for alpha in (1.5, -0.5, float("nan")):
         with pytest.raises(ValueError, match="alpha must be in"):
             KernelProgram("gcn", a, 2, alpha=alpha)
-    for beta in (float("-inf"), float("nan")):
-        with pytest.raises(ValueError, match="beta schedule entries must be finite"):
-            KernelProgram("gcnii", a, 2, beta_schedule=(0.1, beta))
+    for decay in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="decay must be nonnegative and finite"):
+            KernelProgram("gcnii", a, 2, decay=decay)
+    for field in ("sigma_b", "sigma_w", "sigma_w1", "sigma_w2"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"finite, got {field} = {value}"):
+                KernelProgram("gcn", a, 2, **{field: value})
+    with pytest.raises(ValueError, match="gcn needs a graph operator"):
+        KernelProgram("gcn", None, 2)
+    with pytest.raises(ValueError, match="mlp has no graph operator"):
+        KernelProgram("mlp", a, 2)
     with pytest.raises(ValueError, match="decay must be nonnegative"):
         gcnii_beta_schedule(3, decay=-1.0)
     with pytest.raises(ValueError, match="does not match"):
         run_exact(KernelProgram.gcn(a, 1), np.eye(5))
+    # mlp has no operator: N is the base kernel's own, which must be square
+    with pytest.raises(ValueError, match="does not match"):
+        run_exact(KernelProgram.mlp(1), np.ones((3, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +222,7 @@ def test_all_landmark_lowrank_matches_exact_every_arch():
         KernelProgram.gcnii(sym, 3, sigma_w=1.2),
         KernelProgram.gin(sym, 2, sigma_b=0.2, sigma_w=0.9),
         KernelProgram.sage(row, 3, sigma_w1=0.6, sigma_w2=1.0),
-        KernelProgram.mlp(n, 3, sigma_b=0.3, sigma_w=1.1),
+        KernelProgram.mlp(3, sigma_b=0.3, sigma_w=1.1),
     ]
     for prog in programs:
         k = run_exact(prog, base_inner(x))
@@ -280,11 +287,10 @@ def test_lowrank_kernel_is_permutation_equivariant(arch):
 
     def gram(graph, x, train):
         if arch == "mlp":
-            op = identity_adjacency(n)
+            op = None
         else:
             op = normalize_row(graph) if arch == "sage" else normalize_sym(graph)
-        betas = gcnii_beta_schedule(3) if arch == "gcnii" else ()
-        prog = KernelProgram(arch, op, 3, beta_schedule=betas)
+        prog = KernelProgram(arch, op, 3)
         lm = LandmarkSet(np.sort(train))
         return lowrank_variant(prog, nystrom_start(x, lm), lm).gram()
 
@@ -341,7 +347,7 @@ def test_run_exact_peak_memory(monkeypatch, arch, depth, bound):
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)  # tile buffers negligible
     n = 1000
     if arch == "mlp":
-        prog = KernelProgram.mlp(n, depth, sigma_b=0.1)
+        prog = KernelProgram.mlp(depth, sigma_b=0.1)
     elif arch == "gcnii":
         prog = KernelProgram.gcnii(sym_operator(n, extra=n), depth)
     elif arch == "sage":
