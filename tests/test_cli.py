@@ -61,6 +61,9 @@ GOLDEN_RUNS = (
     ("infer", "--arch", "gin", "--sigma-w", "1.5", "--sigma-b", "0.3"),
     ("infer", "--arch", "mlp", "--path", "lowrank", "--sigma-w", "0.8", "--sigma-b", "0.5"),
     ("depth-scan", "--arch", "gcn", "--layers", "4", "--sigma-w", "1.5", "--sigma-b", "0.3"),
+    # the finite-width sampler, a biased dense layer at each of three layers
+    *(("mc-verify", "--arch", arch, "--layers", "3", "--width", "64", "--samples", "5",
+       "--sigma-b", "0.3") for arch in ("gcn", "mlp")),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
