@@ -39,3 +39,8 @@ for arch in gcn gcnii mlp; do cli depth-scan --dataset $fixture --arch $arch --l
 for arch in gcn gcnii gin sage mlp; do
   cli mc-verify --dataset $fixture --arch $arch --layers 3 --width 64 --samples 5
 done
+# a biased dense layer in every drawn layer: the fixture is a classification
+# set, so sigma_b defaults to 0 and the draw's bias would not run otherwise
+for arch in gcn gin mlp; do
+  cli mc-verify --dataset $fixture --arch $arch --layers 3 --width 64 --samples 5 --sigma-b 0.3
+done

@@ -20,10 +20,13 @@ dense layer ``Weight(s_l)``: the Gaussian weight with the map's second
 moment, whose NNGP rule is the same scale.
 
 Each layer is one block recipe (``_layer``), written against an
-``apply(rep, block)`` callable: ``run_exact`` reads it with
-``apply_block_exact`` and ``lowrank_variant`` with ``apply_block_lowrank``.
-Both keep only the current layer alive and return the final one;
-``run_exact``'s ``on_layer(l, K)`` hook sees every layer on the way.
+``apply(rep, block)`` callable, and ``_drive`` folds it over the depth.  It
+has three readers: ``run_exact`` applies it with ``apply_block_exact``,
+``lowrank_variant`` with ``apply_block_lowrank``, and the finite-width
+sampler (``finite_width.sample_covariance``) draws it as a network, each
+``Weight`` a fresh Gaussian layer.  All keep only the current layer alive
+and return the final one; ``run_exact``'s ``on_layer(l, K)`` hook sees every
+layer on the way.
 """
 
 from __future__ import annotations

@@ -69,11 +69,13 @@ INFER_PEAK_NN = {"gcn": 3.1, "gin": 3.1, "mlp": 3.1, "ggp": 3.1, "rbf": 3.1,
                  "gcnii": 4.1, "sage": 3.1}
 # mc-verify holds the kernel build's INFER_PEAK_NN, then, while it samples,
 # the analytic kernel, the running sum and a draw's z z^T beside at most
-# MC_DRAW_ARRAYS n x width arrays of the draw (gcnii and sage; gin 5, gcn 4,
-# mlp 3) and a hidden layer's k x width normals, k the fan-in (below 4 N; a
-# wider layer draws N x width).  Traced at N = 1000, K0 included: gcn 3.03,
-# 7.17 and 23.0 at width 16, 1024 and 3000; gcnii 4.02, 9.21 and 29.0.
-MC_DRAW_ARRAYS = 6
+# MC_DRAW_ARRAYS n x width arrays of the draw and a hidden layer's k x width
+# normals, k the fan-in (below 4 N; a wider layer draws N x width).  The
+# sampler hands each block's input on, so a draw holds a block's input and
+# output (2), and gcnii's skip lift or sage's neighbour branch beside them
+# (3).  Traced at N = 1000, K0 included: gcn 3.08, 5.02 and 17.0 at width 64,
+# 1000 and 3000 (depth 3); gcnii 4.02, 6.01 and 20.0.
+MC_DRAW_ARRAYS = 3
 
 
 def _mc_verify_peak_nn(arch: str, n_nodes: int, width: int) -> float:

@@ -800,10 +800,11 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
     ("mc-verify", dict(arch="gcn", width=64)), ("mc-verify", dict(arch="gcnii", width=64)),
     ("mc-verify", dict(arch="gcn", width=1000)), ("mc-verify", dict(arch="sage", width=1000)),
     ("mc-verify", dict(arch="gcn", width=1000, n=200)),  # fan-in above 4 N
+    ("mc-verify", dict(arch="gcnii", width=3000, layers=3)),  # the skip beside a draw
     ("depth-scan", dict(arch="mlp", layers=8)),
     ("depth-scan", dict(arch="mlp", layers=8, sigma_w=2.0)),
 ], ids=["mc-gcn", "mc-gcnii", "mc-gcn-wide", "mc-sage-wide", "mc-gcn-n-by-n-root",
-        "mlp-sub", "mlp-super"])
+        "mc-gcnii-3n", "mlp-sub", "mlp-super"])
 def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags):
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
     flags = dict(flags)

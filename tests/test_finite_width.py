@@ -9,7 +9,10 @@ from graphgp import (
     run_exact,
     sample_covariance,
 )
+from graphgp import finite_width, kernels, programs
 from graphgp.finite_width import _linear_draw
+from graphgp.kernels import Weight
+from graphgp.programs import ARCHITECTURES
 
 from conftest import random_features, row_operator, sym_operator
 
@@ -38,29 +41,28 @@ class _IdentityNormals:
         return np.eye(*shape)
 
 
-def _factor(terms, sigma_b):
+def _factor(m, sigma_w, sigma_b):
     """The square root F a draw applies, padded with zero columns (F F^T is
     unchanged), and the rows of normals asked for: k for the column factor,
     n for the n x n root."""
-    n = terms[0][0].shape[0]
+    n, fan_in = m.shape
     rng = _IdentityNormals()
-    f = _linear_draw(terms, sigma_b, n + sum(m.shape[1] for m, _ in terms) + 1, rng)
-    c = sum(s**2 / m.shape[1] * (m @ m.T) for m, s in terms) + sigma_b**2
+    f = _linear_draw(m, sigma_w, sigma_b, n + fan_in + 1, rng)
+    c = sigma_w**2 / fan_in * (m @ m.T) + sigma_b**2
     return f, rng.rows, np.linalg.norm(f @ f.T - c) / np.linalg.norm(c)
 
 
 def test_column_factor_for_tall_inputs():
-    # 50 nodes, k = 6 + 6 + 1 columns: the wide draw is the thinner one
+    # 50 nodes, k = 12 + 1 columns: the wide draw is the thinner one
     rng = np.random.default_rng(0)
-    terms = [(rng.normal(size=(50, 6)), 0.8), (rng.normal(size=(50, 6)), 1.1)]
-    _, rows, rel = _factor(terms, 0.3)
+    _, rows, rel = _factor(rng.normal(size=(50, 12)), 0.8, 0.3)
     assert rows == 13
     assert rel <= 1e-12
 
 
 def test_node_root_for_wide_inputs():
     rng = np.random.default_rng(1)
-    _, rows, rel = _factor([(rng.normal(size=(8, 512)), 1.2)], 0.1)
+    _, rows, rel = _factor(rng.normal(size=(8, 512)), 1.2, 0.1)
     assert rows == 8
     assert rel <= 1e-12
 
@@ -71,7 +73,7 @@ def test_node_root_of_rank_deficient_input_is_finite():
     m = rng.normal(size=(6, 64))
     m[3] = m[0]
     m[5] = m[1]
-    f, rows, rel = _factor([(m, 1.0)], 0.0)
+    f, rows, rel = _factor(m, 1.0, 0.0)
     assert rows == 6
     assert np.all(np.isfinite(f))
     assert rel <= 1e-12
@@ -81,7 +83,7 @@ def test_factor_choice_depends_on_shape_alone():
     # the n x n root is taken exactly when 4 n <= k, bias column included
     def rows(n, fan_in, sigma_b):
         rng = _IdentityNormals()
-        _linear_draw([(np.ones((n, fan_in)), 1.0)], sigma_b, 1, rng)
+        _linear_draw(np.ones((n, fan_in)), 1.0, sigma_b, 1, rng)
         return rng.rows
 
     assert rows(8, 32, 0.0) == 8
@@ -152,19 +154,49 @@ def test_graph_free_draws_match_analytic_kernel():
     assert compare_covariance(sample_covariance(cfg, x), k) <= 0.04
 
 
-@pytest.mark.parametrize("arch", ["gcn", "gcnii", "gin", "sage", "mlp"])
-def test_every_architecture_draws_match_analytic_kernel_at_depth_3(arch):
-    # three layers put a ReLU in front of two linear maps; gcnii's mixing map
-    # is drawn as one Gaussian weight, the network its kernel describes
+def _depth_3_program(arch):
+    return {
+        "gcn": lambda: KernelProgram.gcn(sym_operator(8, 5, 0), 3, sigma_b=0.2),
+        "gcnii": lambda: KernelProgram.gcnii(sym_operator(8, 5, 0), 3, sigma_w=1.2),
+        "gin": lambda: KernelProgram.gin(sym_operator(8, 5, 0), 3, sigma_b=0.2),
+        "sage": lambda: KernelProgram.sage(row_operator(8, 5, 0), 3, sigma_w1=0.8),
+        "mlp": lambda: KernelProgram.mlp(3, sigma_b=0.3, sigma_w=1.2),
+    }[arch]()
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_sampler_draws_the_weights_of_the_recipe(monkeypatch, arch):
+    # every Gaussian layer of a draw is a Weight block of the kernel's own
+    # recipe, with its scales and in its order: gcnii's skip lift and both
+    # sage branches included
     x = random_features(8, 6, 1)
-    programs = {
-        "gcn": KernelProgram.gcn(sym_operator(8, 5, 0), 3, sigma_b=0.2),
-        "gcnii": KernelProgram.gcnii(sym_operator(8, 5, 0), 3, sigma_w=1.2),
-        "gin": KernelProgram.gin(sym_operator(8, 5, 0), 3, sigma_b=0.2),
-        "sage": KernelProgram.sage(row_operator(8, 5, 0), 3, sigma_w1=0.8),
-        "mlp": KernelProgram.mlp(3, sigma_b=0.3, sigma_w=1.2),
-    }
-    prog = programs[arch]
+    prog = _depth_3_program(arch)
+    applied, drawn = [], []
+
+    def apply_block_exact(k, block):
+        if isinstance(block, Weight):
+            applied.append((block.sigma_w, block.sigma_b))
+        return kernels.apply_block_exact(k, block)
+
+    def linear_draw(m, sigma_w, sigma_b, width, rng):
+        drawn.append((sigma_w, sigma_b))
+        return _linear_draw(m, sigma_w, sigma_b, width, rng)
+
+    monkeypatch.setattr(programs, "apply_block_exact", apply_block_exact)
+    monkeypatch.setattr(finite_width, "_linear_draw", linear_draw)
+    run_exact(prog, base_inner(x))
+    sample_covariance(McConfig(prog, 16, 1, seed=0), x)
+    assert len(applied) >= 3
+    assert drawn == applied
+
+
+@pytest.mark.parametrize("arch", ARCHITECTURES)
+def test_every_architecture_draws_match_analytic_kernel_at_depth_3(arch):
+    # three layers put a ReLU in front of two linear maps; every Weight of
+    # the recipe is drawn as a Gaussian weight, the network its kernel
+    # describes
+    x = random_features(8, 6, 1)
+    prog = _depth_3_program(arch)
     k = run_exact(prog, base_inner(x))
     cfg = McConfig(prog, 1024, 60, seed=17)
     assert compare_covariance(sample_covariance(cfg, x), k) <= 0.04
