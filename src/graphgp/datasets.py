@@ -18,6 +18,7 @@ a normalization.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -106,6 +107,8 @@ def _load_targets(path: str) -> np.ndarray:
             values.append(float(tok))
         except ValueError:
             raise ValueError(f"{path}:{lineno}: cannot parse target {tok!r}") from None
+        if not math.isfinite(values[-1]):
+            raise ValueError(f"{path}:{lineno}: target {tok!r} is not finite")
     return np.asarray(values, dtype=np.float64)
 
 

@@ -67,6 +67,16 @@ def gcnii_beta_schedule(depth: int, decay: float = 0.5) -> tuple:
     return tuple(np.log(decay / layers + 1.0))
 
 
+def check_sigmas(owner) -> None:
+    """Each of ``owner``'s sigma_b, sigma_w, sigma_w1 and sigma_w2 must be
+    nonnegative and finite; one left unset (None) is not checked."""
+    for name in ("sigma_b", "sigma_w", "sigma_w1", "sigma_w2"):
+        value = getattr(owner, name)
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(
+                f"sigma parameters must be nonnegative and finite, got {name} = {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class KernelProgram:
     """An architecture bound to its operator, depth and hyperparameters.
@@ -96,11 +106,9 @@ class KernelProgram:
                              else f"{self.architecture} needs a graph operator")
         if self.depth < 1:
             raise ValueError("depth must be positive")
-        for name in ("sigma_b", "sigma_w", "sigma_w1", "sigma_w2", "decay"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                kind = "decay" if name == "decay" else "sigma parameters"
-                raise ValueError(f"{kind} must be nonnegative and finite, got {name} = {value}")
+        check_sigmas(self)
+        if not (math.isfinite(self.decay) and self.decay >= 0):
+            raise ValueError(f"decay must be nonnegative and finite, got decay = {self.decay}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 

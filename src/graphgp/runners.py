@@ -48,6 +48,7 @@ from .limits import MLP_SCAN_PEAK_NN, SCAN_PEAK_NN, depth_scan, mlp_fixed_point
 from .programs import (
     ARCHITECTURES,
     KernelProgram,
+    check_sigmas,
     lowrank_variant,
     nystrom_start,
     require_memory,
@@ -123,6 +124,7 @@ class RunConfig:
             raise ValueError(f"path must be one of {PATH_CHOICES}, got {self.path!r}")
         if self.layers < 1:
             raise ValueError("layers must be positive")
+        check_sigmas(self)  # rbf and ggp build no program that would check them
         if self.landmarks is not None and self.landmarks < 1:
             raise ValueError("landmarks must be positive")
         if self.nugget is not None and not 0 < self.nugget < math.inf:

@@ -679,6 +679,20 @@ def test_non_finite_hyperparameters_fail_at_their_flag(args, name, value, capsys
     assert name in lines[0] and value in lines[0], err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("flag", ["--sigma-b", "--sigma-w"])
+@pytest.mark.parametrize("arch", ["rbf", "ggp"])
+def test_graph_free_and_ggp_sigmas_fail_at_their_flag(arch, flag, value, capsys):
+    # rbf and ggp build no layered program, yet take both sigmas
+    code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--arch", arch,
+                             flag, value)
+    assert (code, out) == (1, "")
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    assert lines[0] == ("error: sigma parameters must be nonnegative and finite, got "
+                        f"{flag[2:].replace('-', '_')} = {float(value)}"), err
+
+
 @pytest.mark.parametrize("path", ["exact", "lowrank"])
 def test_a_non_finite_feature_fails_when_read(path, tmp_path, capsys):
     # GraphConv would spread a NaN over the kernel, and the ReLU floor would
@@ -692,6 +706,17 @@ def test_a_non_finite_feature_fails_when_read(path, tmp_path, capsys):
     assert (code, out) == (1, "")
     assert err == (f"error: {d / 'features.csv'}: row 2 has a non-finite feature "
                    "(rows count from 0, as node ids do)\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_a_non_finite_target_fails_when_read(value, tmp_path, capsys):
+    # a regression run on such a target used to exit 0 with r2_test: nan
+    d = tmp_path / "nan_target"
+    shutil.copytree(FIXTURE_DIR, d)
+    (d / "targets.txt").write_text(f"0.5\n{value}\n0.2\n1.0\n")
+    code, out, err = run_cli(capsys, "infer", "--dataset", str(d))
+    assert (code, out) == (1, "")
+    assert err == f"error: {d / 'targets.txt'}:2: target '{value}' is not finite\n"
 
 
 def test_nugget_grid_needs_a_point(capsys):
