@@ -112,11 +112,6 @@ class KernelProgram:
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
 
-    @property
-    def uses_initial_skip(self) -> bool:
-        """True when layers re-add the layer-0 covariance (gcnii)."""
-        return self.architecture == "gcnii"
-
     @cached_property
     def gcnii_scales(self) -> tuple:
         """Per-layer scale s_l of gcnii's mixing map (1 - b_l) I + b_l W,
@@ -207,7 +202,8 @@ def _drive(program: KernelProgram, held: list, apply: Callable,
     the dense layer's [sigma_w A P, sigma_b 1].
     ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
     """
-    skip = apply(held[0], Weight(program.alpha)) if program.uses_initial_skip else None
+    # gcnii's initial skip, made once and re-added by every layer
+    skip = apply(held[0], Weight(program.alpha)) if program.architecture == "gcnii" else None
     for layer in range(program.depth):
         try:
             if layer > 0:
