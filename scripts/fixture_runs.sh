@@ -17,6 +17,8 @@ for arch in gcn gin mlp; do
     cli infer --dataset $fixture --arch $arch --path $path --sigma-w 1.5 --sigma-b 0.3
   done
 done
+# sage with a self branch, on both paths
+for path in exact lowrank; do cli infer --dataset $fixture --arch sage --path $path --sigma-w1 0.5; done
 # a fixed nugget is a one-point search, alone and inside rbf's gamma search
 for path in exact lowrank; do cli infer --dataset $fixture --path $path --nugget 0.1; done
 cli infer --dataset $fixture --arch rbf --nugget 0.1

@@ -64,6 +64,9 @@ GOLDEN_RUNS = (
     # the finite-width sampler, a biased dense layer at each of three layers
     *(("mc-verify", "--arch", arch, "--layers", "3", "--width", "64", "--samples", "5",
        "--sigma-b", "0.3") for arch in ("gcn", "mlp")),
+    # sage with a self branch, which gcn has not, on both paths
+    *(("infer", "--arch", "sage", "--path", path, "--sigma-w1", "0.5")
+      for path in ("exact", "lowrank")),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
