@@ -59,7 +59,7 @@ from functools import partial
 
 import numpy as np
 
-from .kernels import Activation, GraphConv, IndependentAdd, Weight
+from .kernels import Activation, GraphConv, IndependentAdd, Weight, _take
 from .programs import KernelProgram, _drive
 
 
@@ -114,13 +114,17 @@ def _linear_draw(m: np.ndarray, sigma_w: float, sigma_b: float, width: int,
     return out
 
 
-def _apply_block_draw(h: np.ndarray, block, a_csr, width: int,
+def _apply_block_draw(h, block, a_csr, width: int,
                       seq: np.random.SeedSequence) -> np.ndarray:
-    """One building block on a drawn network; never changes ``h``.
+    """One building block on a drawn network; never changes its input.
 
-    A ``Weight`` draws its layer from the next child of ``seq``; ``a_csr``
-    is the program's operator in CSR form, converted once per sampling call.
+    ``h`` is the n x width representation, or a one-element list holding
+    it, which is emptied, as ``kernels.apply_block_exact`` takes its
+    kernel.  A ``Weight`` draws its layer from the next child of ``seq``;
+    ``a_csr`` is the program's operator in CSR form, converted once per
+    sampling call.
     """
+    h = _take(h)
     if isinstance(block, Weight):
         rng = np.random.default_rng(seq.spawn(1)[0])
         return _linear_draw(h, block.sigma_w, block.sigma_b, width, rng)

@@ -27,15 +27,17 @@ place of np.sin, the dearest pass of the expression.
 
 Memory: the ReLU expectation works in row tiles of about _TILE_ELEMENTS
 entries, writing into one preallocated output, so it holds its input, its
-output and three tile buffers; GraphConv holds its input, A K and the
-product, and transposes and symmetrises in place over square blocks.  No
-other N x N temporary is made.  Run one after the other with the caller
-dropping each input, a dense layer peaks near 3 N x N arrays, its input
-included.  The low-rank activation factors the r x r landmark block
-g(Q[a] Q[a]^T) first, then forms the k <= r pivot columns g(Q Q[S]^T),
-writes the ReLU expectation over them in place and multiplies them by
-L^{-T} in place, one row tile at a time; so it holds its input Q and one
-N x k array, and a low-rank layer peaks near 2 N x r arrays.
+output and three tile buffers.  GraphConv drops its input once A K is
+formed, when the input came in a one-element list that held its only
+reference, so it holds A K and the product; it transposes and symmetrises
+in place over square blocks.  No other N x N temporary is made.  Each
+block takes its input in such a list (``programs._drive`` hands it on that
+way), so a dense layer peaks near 2 N x N arrays, its input included: a
+block's input and output.  The low-rank activation factors the r x r
+landmark block g(Q[a] Q[a]^T) first, then forms the k <= r pivot columns
+g(Q Q[S]^T), writes the ReLU expectation over them in place and multiplies
+them by L^{-T} in place, one row tile at a time; so it holds its input Q
+and one N x k array, and a low-rank layer peaks near 2 N x r arrays.
 
 Passes: the dense ReLU expectation computes only the tiles on and above
 the diagonal and mirrors them below it.  A dense layer, weight and bias,
@@ -224,7 +226,9 @@ def base_rbf(x: np.ndarray, y: Optional[np.ndarray] = None, gamma: float = 1.0) 
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     x = np.asarray(x, dtype=np.float64)
     y = x if y is None else np.asarray(y, dtype=np.float64)
-    return np.exp(-gamma * cdist(x, y, "sqeuclidean"))
+    out = cdist(x, y, "sqeuclidean")
+    out *= -gamma
+    return np.exp(out, out=out)
 
 
 def base_poly(
@@ -241,10 +245,12 @@ def base_poly(
         raise ValueError(f"d must be finite, got {d}")
     x = np.asarray(x, dtype=np.float64)
     y = x if y is None else np.asarray(y, dtype=np.float64)
-    base = x @ y.T + c
+    base = x @ y.T
+    base += c
     if not float(d).is_integer():
-        base = np.maximum(base, 0.0)
-    return base**d
+        np.maximum(base, 0.0, out=base)
+    base **= d
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -352,20 +358,28 @@ def _square_blocks(n: int) -> list:
     return [slice(i, i + side) for i in range(0, n, side)]
 
 
-def _graph_conv(m, k: np.ndarray) -> np.ndarray:
+def _take(rep):
+    """The representation a block reads: ``rep`` itself, or the one element
+    of the list ``rep``, taken out, so that the list no longer holds it."""
+    return rep.pop() if isinstance(rep, list) else rep
+
+
+def _graph_conv(m, k) -> np.ndarray:
     """Symmetrised A K A^T for a symmetric K, with A a sparse matrix.
 
-    X = A K is formed and transposed in place, one pair of square blocks at
-    a time; Z = A X is formed and X dropped, so besides ``k`` at most two
-    N x N arrays are alive.  Z is symmetrised in place, block pair by block
-    pair, as 0.5 (Z[r, c] + Z[c, r]^T).  The bits are those of the
-    whole-matrix 0.5 (Y + Y^T) with Y = (A (A K)^T)^T: the sparse product
-    sums each output entry in the same order whatever the width of its
-    dense operand, so Z = Y^T bit for bit, and each symmetrised entry adds
-    the same two terms, which commute.
+    ``k`` is K, or a one-element list holding it, which is emptied.  X = A K
+    is formed and K dropped, then X is transposed in place, one pair of
+    square blocks at a time; Z = A X is formed and X dropped.  So at most
+    two N x N arrays are alive, K counted when the list held its only
+    reference, and three when the caller keeps K.  Z is symmetrised in
+    place, block pair by block pair, as 0.5 (Z[r, c] + Z[c, r]^T).  The
+    bits are those of the whole-matrix 0.5 (Y + Y^T) with Y = (A (A K)^T)^T:
+    the sparse product sums each output entry in the same order whatever
+    the width of its dense operand, so Z = Y^T bit for bit, and each
+    symmetrised entry adds the same two terms, which commute.
     """
-    x = m @ k
-    blocks = _square_blocks(k.shape[0])
+    x = m @ _take(k)
+    blocks = _square_blocks(x.shape[0])
     for i, r in enumerate(blocks):
         for c in blocks[i:]:
             upper = x[r, c].copy()
@@ -459,11 +473,22 @@ def chol_factor(c_landmark: np.ndarray,
 # block application
 
 
-def apply_block_exact(k: np.ndarray, block: Block) -> np.ndarray:
-    """One building block on the dense path; never changes ``k``.
+def apply_block_exact(k, block: Block) -> np.ndarray:
+    """One building block on the dense path; never changes its input.
 
-    ``Weight(1.0, 0.0)`` returns ``k`` itself.
+    ``k`` is the N x N kernel, or a one-element list holding it, which is
+    emptied, as ``programs._drive`` hands each block its input: GraphConv
+    then drops K once A K is formed, so K is freed when the list held its
+    only reference.  ``Weight(1.0, 0.0)`` returns the input itself.
     """
+    if isinstance(block, GraphConv):
+        n = (k[0] if isinstance(k, list) else k).shape[0]
+        if block.a.n_nodes != n:
+            raise ValueError(
+                f"operator size {block.a.n_nodes} does not match kernel size {n}"
+            )
+        return _graph_conv(block.a.to_csr(), k)
+    k = _take(k)
     if isinstance(block, Weight):
         if block.sigma_w == 1.0:
             return k if block.sigma_b == 0.0 else k + block.sigma_b**2
@@ -471,12 +496,6 @@ def apply_block_exact(k: np.ndarray, block: Block) -> np.ndarray:
         if block.sigma_b != 0.0:
             out += block.sigma_b**2
         return out
-    if isinstance(block, GraphConv):
-        if block.a.n_nodes != k.shape[0]:
-            raise ValueError(
-                f"operator size {block.a.n_nodes} does not match kernel size {k.shape[0]}"
-            )
-        return _graph_conv(block.a.to_csr(), k)
     if isinstance(block, Activation):
         return relu_expectation(k)
     if isinstance(block, IndependentAdd):
@@ -490,15 +509,18 @@ def apply_block_exact(k: np.ndarray, block: Block) -> np.ndarray:
 
 
 def apply_block_lowrank(
-    factor: LowRankFactor, block: Block, landmarks: Optional[LandmarkSet] = None
+    factor, block: Block, landmarks: Optional[LandmarkSet] = None
 ) -> LowRankFactor:
     """One building block on the low-rank path.
 
-    Only the activation needs the landmark set: it evaluates the ReLU
-    expectation on the landmark columns of Q Q^T and re-factors.  A zero
-    bias appends no zero column, and ``Weight(1.0, 0.0)`` returns the
-    factor itself.  Never changes ``factor``.
+    ``factor`` is a LowRankFactor, or a one-element list holding it, which
+    is emptied, as ``apply_block_exact`` takes its kernel.  Only the
+    activation needs the landmark set: it evaluates the ReLU expectation on
+    the landmark columns of Q Q^T and re-factors.  A zero bias appends no
+    zero column, and ``Weight(1.0, 0.0)`` returns the factor itself.  Never
+    changes its input.
     """
+    factor = _take(factor)
     if isinstance(block, Weight):
         if block.sigma_b == 0.0:
             return factor if block.sigma_w == 1.0 else LowRankFactor(block.sigma_w * factor.q)

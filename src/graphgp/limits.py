@@ -36,11 +36,12 @@ from .programs import KernelProgram, require_memory, run_exact
 # telemetry window for the trailing-difference (Cauchy) gap
 CAUCHY_LAG = 10
 # N x N float64 arrays a scan holds at its peak: the CAUCHY_LAG kept
-# kernels, K0 and the layer in flight.  Traced CLI scans at N = 1000, nugget
-# searches included, peaked at 14.6 (gcn), 15.1 (gin) and 15.6 (gcnii); the
-# observer's row strips have a bounded size, so the count holds at larger N
-# (below 512 nodes one strip is the whole kernel, adding at most 1.2).
-SCAN_PEAK_NN = CAUCHY_LAG + 6.0
+# kernels, K0 and the layer in flight (2, or 3 for gcnii with its skip).
+# Traced CLI scans at N = 1000, nugget searches included, peaked at 13.0
+# (gcn), 13.8 (gin) and 14.0 (gcnii); the observer's row strips and the ReLU
+# tile buffers have a bounded size, so the count holds at larger N (at 600
+# nodes, where a strip is most of the kernel, they peaked at 15.3).
+SCAN_PEAK_NN = CAUCHY_LAG + 5.5
 # the same for a graph-free scan (``mlp_fixed_point``), which keeps no kernel:
 # K0, a layer's input and its output.  Traced CLI scans at N = 1000 peaked
 # at 3.03, sub- and supercritical, at depth 2 and 20.

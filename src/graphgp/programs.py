@@ -149,16 +149,18 @@ class KernelProgram:
 
 def _chain(apply: Callable, held: list, *blocks):
     """Apply ``blocks`` in turn to the representation in ``held``, a
-    one-element list that is emptied, so each block's input is released
-    once the next block has its output."""
-    rep = held.pop()
+    one-element list that is emptied.  Each block gets the list, takes its
+    input out and puts nothing back; its output goes into the list for the
+    next block.  No local keeps an input, so GraphConv can release its
+    input once A K exists, and every other block once its output does."""
     for block in blocks:
-        rep = apply(rep, block)
-    return rep
+        held.append(apply(held, block))
+    return held.pop()
 
 
 def _layer(prog: KernelProgram, layer: int, held: list, skip, apply: Callable):
-    """One layer of the program, written once against ``apply(rep, block)``.
+    """One layer of the program, written once against ``apply(held, block)``,
+    which takes its input out of the one-element list ``held``.
 
     ``held`` is a one-element list with the layer's input after its
     activation, which ``_drive`` applies; the layer empties it.
@@ -190,16 +192,18 @@ def _drive(program: KernelProgram, held: list, apply: Callable,
 
     Each layer but the first starts with its activation, applied here so
     that the previous layer's output is released before the layer's
-    GraphConv runs.  Each layer's input goes on to it in ``held``, so it is
-    released once the layer's first block (GraphConv, or the first Weight)
-    has used it; only the current representation (and the gcnii skip)
-    stays alive, and the starting one is dropped once layer 1 (and the
-    gcnii skip) has used it, unless the caller keeps its own reference.  On
-    the dense path a layer peaks near 3 N x N arrays (4 for gcnii), K0
-    included, not counting kernels an observer keeps.  On the
-    low-rank path it peaks near 2 N x r arrays: the Activation's input
-    beside the new factor, GraphConv's input beside A P, and A P beside
-    the dense layer's [sigma_w A P, sigma_b 1].
+    GraphConv runs.  Every block gets its input in ``held`` and takes it
+    out (``apply(held, block)``), so an input is released as soon as its
+    block no longer reads it: GraphConv's once A K is formed, any other
+    block's once its output exists.  Only the current representation (and
+    the gcnii skip) stays alive, and the starting one is dropped inside
+    layer 1 (after the gcnii skip is made), unless the caller keeps its own
+    reference.  On the dense path a layer peaks near 2 N x N arrays (3 for
+    gcnii, whose skip stays, and for sage, whose self branch keeps the
+    input while the neighbour branch is made), K0 included, not counting
+    kernels an observer keeps.  On the low-rank path it peaks near 2 N x r
+    arrays: the Activation's input beside the new factor, GraphConv's input
+    beside A P, and A P beside the dense layer's [sigma_w A P, sigma_b 1].
     ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
     """
     # gcnii's initial skip, made once and re-added by every layer
@@ -207,7 +211,7 @@ def _drive(program: KernelProgram, held: list, apply: Callable,
     for layer in range(program.depth):
         try:
             if layer > 0:
-                held.append(apply(held.pop(), Activation()))
+                held.append(apply(held, Activation()))
             held.append(_layer(program, layer, held, skip, apply))
         except FactorizationError as err:
             raise FactorizationError(
@@ -225,8 +229,9 @@ def run_exact(program: KernelProgram, k0,
     ``k0`` is the N x N base kernel, or a one-element list holding it; N
     is the operator's size, or for mlp, which has no operator, the
     kernel's own.  A list is emptied, which hands K0 over: run_exact then
-    holds its only reference and drops it after layer 1, so K0 counts
-    towards the 3 N x N arrays of a layer's peak and not on top of them.  A
+    holds its only reference and drops it inside layer 1, once its first
+    block has read it, so K0 counts towards the 2 N x N arrays of a
+    layer's peak (3 for gcnii and sage) and not on top of them.  A
     caller's array argument, by contrast, stays alive until the call
     returns (on Python 3.10 even the unnamed result of an expression does),
     and so does K0 with it.

@@ -61,28 +61,31 @@ PATH_CHOICES = ("exact", "lowrank")
 ROW_NORMALIZED = ("sage", "ggp")
 GAMMA_GRID = tuple(np.logspace(-2, 2, 9))
 # N x N float64 arrays an exact-path infer holds at its peak, K0 included:
-# a layer's input, A K and the product (3), plus the gcnii skip; sage with
-# sigma_w1 > 0 makes its neighbour branch before its self branch takes the
-# input over, so it stays at 3, and with sigma_w1 = 0 it is a gcn layer.  ggp's one GraphConv is a layer, and rbf builds each
-# candidate kernel (2) beside the best fit's.  Traced runs at N = 1000, with
-# tile buffers of 2^14 entries, peaked at 3.00-3.02, and at 4.02 for gcnii.
-INFER_PEAK_NN = {"gcn": 3.1, "gin": 3.1, "mlp": 3.1, "ggp": 3.1, "rbf": 3.1,
-                 "gcnii": 4.1, "sage": 3.1}
-# mc-verify holds the kernel build's INFER_PEAK_NN, then, while it samples,
-# the analytic kernel, the running sum and a draw's z z^T beside at most
-# MC_DRAW_ARRAYS n x width arrays of the draw and a hidden layer's k x width
-# normals, k the fan-in (below 4 N; a wider layer draws N x width).  The
-# sampler hands each block's input on, so a draw holds a block's input and
-# output (2), and gcnii's skip lift or sage's neighbour branch beside them
-# (3).  Traced at N = 1000, K0 included: gcn 3.08, 5.02 and 17.0 at width 64,
-# 1000 and 3000 (depth 3); gcnii 4.02, 6.01 and 20.0.
+# a block's input and output (2), since GraphConv drops its input once A K is
+# formed, plus the gcnii skip (3); sage with sigma_w1 > 0 keeps the input for
+# its self branch while the neighbour branch is made (3), and with sigma_w1 =
+# 0 it is a gcn layer.  ggp's one GraphConv is a layer; rbf's nugget search
+# runs on a candidate kernel beside the best fit's.  Traced runs at N = 1000,
+# with tile buffers of 2^12 entries, peaked at 2.02-2.04, at 3.02-3.04 for
+# gcnii and sage, and at 2.63 for rbf.
+INFER_PEAK_NN = {"gcn": 2.1, "gin": 2.1, "mlp": 2.1, "ggp": 2.1, "rbf": 2.7,
+                 "gcnii": 3.1, "sage": 3.1}
+# While it samples, mc-verify holds the analytic kernel, the running sum and
+# a draw's z z^T beside at most MC_DRAW_ARRAYS n x width arrays of the draw
+# and a hidden layer's k x width normals, k the fan-in (below 4 N; a wider
+# layer draws N x width).  The sampler hands each block's input on, so a
+# draw holds a block's input and output (2), and gcnii's skip lift or sage's
+# neighbour branch beside them (3).  The analytic kernel's build, at most
+# 3.1 (INFER_PEAK_NN), stays below that.  Traced at N = 1000, K0 included:
+# gcn 3.08, 5.02 and 17.0 at width 64, 1000 and 3000 (depth 3); gcnii 3.08,
+# 6.01 and 20.0.
 MC_DRAW_ARRAYS = 3
 
 
-def _mc_verify_peak_nn(arch: str, n_nodes: int, width: int) -> float:
+def _mc_verify_peak_nn(n_nodes: int, width: int) -> float:
     """mc-verify's peak in N x N arrays, the draws' arrays included."""
     w = width / n_nodes
-    return max(INFER_PEAK_NN[arch], 3.1 + (MC_DRAW_ARRAYS + min(w, 4.0)) * w)
+    return 3.1 + (MC_DRAW_ARRAYS + min(w, 4.0)) * w
 
 
 @dataclass
@@ -237,8 +240,8 @@ def _build_representation(cfg: RunConfig, program: Optional[KernelProgram], a, f
 
     Both start from the base covariance: rbf returns it, ggp applies one
     GraphConv, and the layered architectures run ``program`` on it.  K0
-    or the start factor is handed to ``run_exact`` or ``lowrank_variant`` in
-    a list, so that it can be released after layer 1."""
+    or the start factor is handed to GraphConv, ``run_exact`` or
+    ``lowrank_variant`` in a list, so that it can be released once read."""
     base_fn = _base_callable(cfg, gamma)
     if cfg.path == "exact":
         rep, apply = base_fn(feats), apply_block_exact
@@ -247,10 +250,10 @@ def _build_representation(cfg: RunConfig, program: Optional[KernelProgram], a, f
         apply = partial(apply_block_lowrank, landmarks=landmarks)
     if cfg.arch == "rbf":
         return rep
-    if cfg.arch == "ggp":
-        return apply(rep, GraphConv(a))
     held = [rep]
     del rep
+    if cfg.arch == "ggp":
+        return apply(held, GraphConv(a))
     if cfg.path == "lowrank":
         return lowrank_variant(program, held, landmarks)
     return run_exact(program, held)
@@ -456,7 +459,7 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     # fail before K0, the first N x N array, is made: the sampling plan's
     # checks, then the memory count, which includes K0
     mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
-    require_memory(ds.n_nodes, _mc_verify_peak_nn(cfg.arch, ds.n_nodes, cfg.width),
+    require_memory(ds.n_nodes, _mc_verify_peak_nn(ds.n_nodes, cfg.width),
                    "mc-verify")
     analytic = run_exact(program, [base_inner(ds.features)])
     empirical = sample_covariance(mc, ds.features)

@@ -741,14 +741,14 @@ def preloaded(monkeypatch, n, **kwargs):
 
 
 # peak of an exact-path infer in N x N float64 arrays, with K0 made inside the
-# traced window: the runner hands K0 over and run_exact drops it after layer 1,
-# so a layer's input, A K and the product (plus the gcnii skip) include it;
-# sage's self branch takes the input over once the neighbour branch is made;
-# rbf builds each candidate beside the best fit's kernel alone
+# traced window: the runner hands K0 over and GraphConv drops it once A K is
+# formed, so a block's input and output (plus the gcnii skip) include it;
+# sage's self branch keeps the input while the neighbour branch is made; rbf
+# searches each candidate's nugget beside the best fit's kernel alone
 @pytest.mark.parametrize("arch, depth, bound", [
-    ("gcn", 2, 3.1), ("gcn", 8, 3.1), ("gin", 2, 3.1), ("gin", 8, 3.1),
-    ("mlp", 2, 3.1), ("mlp", 8, 3.1), ("gcnii", 2, 4.1), ("gcnii", 8, 4.1),
-    ("sage", 2, 4.1), ("sage", 8, 4.1), ("ggp", 2, 3.1), ("rbf", 2, 3.1),
+    ("gcn", 2, 2.1), ("gcn", 8, 2.1), ("gin", 2, 2.1), ("gin", 8, 2.1),
+    ("mlp", 2, 2.1), ("mlp", 8, 2.1), ("gcnii", 2, 3.1), ("gcnii", 8, 3.1),
+    ("sage", 2, 3.1), ("sage", 8, 3.1), ("ggp", 2, 2.1), ("rbf", 2, 2.7),
 ])
 def test_infer_exact_peak_memory_counts_k0(monkeypatch, arch, depth, bound):
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
@@ -850,7 +850,7 @@ def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags)
                                             "subcritical")
         count = limits.MLP_SCAN_PEAK_NN
     else:
-        count = runners._mc_verify_peak_nn(cfg.arch, n, cfg.width)
+        count = runners._mc_verify_peak_nn(n, cfg.width)
     assert peak / (8.0 * n * n) <= count
 
 
@@ -863,7 +863,7 @@ def test_dense_diagnostics_reject_large_graphs_before_k0(monkeypatch, command, a
     n = 500
     cfg = preloaded(monkeypatch, n, arch=arch, width=64, samples=2)
     if command == "mc-verify":
-        run, count = runners.run_mc_verify, runners._mc_verify_peak_nn(arch, n, 64)
+        run, count = runners.run_mc_verify, runners._mc_verify_peak_nn(n, 64)
     else:
         run, count = runners.run_depth_scan, limits.MLP_SCAN_PEAK_NN
     need = math.ceil(8.0 * count * n**2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -548,6 +550,30 @@ def test_graphconv_is_the_whole_matrix_expression(monkeypatch, operator, n, side
         assert np.array_equal(got, 0.5 * (y + y.T))
         assert np.array_equal(got, got.T)
         assert np.array_equal(k, before)
+
+
+def test_graphconv_releases_a_handed_over_input(monkeypatch):
+    # K in a one-element list is dropped once A K is formed, so the call
+    # holds two N x N arrays, K counted; an array the caller keeps stays
+    # alive and keeps every bit, and both calls give the same output
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    n = 600
+    a = sym_operator(n, extra=n, seed=4)
+    features = random_features(n, 16, seed=2)
+    tracemalloc.start()
+    try:
+        held = [base_inner(features)]
+        handed = apply_block_exact(held, GraphConv(a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert held == []
+    assert peak / (8.0 * n * n) <= 2.05
+    k = base_inner(features)
+    before = k.copy()
+    kept = apply_block_exact(k, GraphConv(a))
+    assert np.array_equal(k, before)
+    assert np.array_equal(kept, handed)
 
 
 # ---------------------------------------------------------------------------

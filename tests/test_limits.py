@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,7 +43,8 @@ def test_scan_rejects_large_graphs(monkeypatch):
     k0 = np.eye(n)
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="depth scan on 300 nodes needs about 15 N x N"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"depth scan on 300 nodes needs about {limits.SCAN_PEAK_NN - 1:g} N x N")):
             depth_scan(prog, k0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
