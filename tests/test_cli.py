@@ -744,11 +744,15 @@ def preloaded(monkeypatch, n, **kwargs):
 # traced window: the runner hands K0 over and GraphConv drops it once A K is
 # formed, so a block's input and output (plus the gcnii skip) include it;
 # sage's self branch keeps the input while the neighbour branch is made; rbf
-# searches each candidate's nugget beside the best fit's kernel alone
+# searches each candidate's nugget beside the best fit's kernel alone.  The
+# tight bound is INFER_PEAK_NN, the pre-flight count: 2.1 for gcn, gin, mlp
+# and ggp, 3.1 for gcnii and sage, 2.7 for rbf.  The third value, part of each
+# test's id, is the looser count of a layer that kept its input through
+# GraphConv (3.1, or 4.1 for gcnii and sage)
 @pytest.mark.parametrize("arch, depth, bound", [
-    ("gcn", 2, 2.1), ("gcn", 8, 2.1), ("gin", 2, 2.1), ("gin", 8, 2.1),
-    ("mlp", 2, 2.1), ("mlp", 8, 2.1), ("gcnii", 2, 3.1), ("gcnii", 8, 3.1),
-    ("sage", 2, 3.1), ("sage", 8, 3.1), ("ggp", 2, 2.1), ("rbf", 2, 2.7),
+    ("gcn", 2, 3.1), ("gcn", 8, 3.1), ("gin", 2, 3.1), ("gin", 8, 3.1),
+    ("mlp", 2, 3.1), ("mlp", 8, 3.1), ("gcnii", 2, 4.1), ("gcnii", 8, 4.1),
+    ("sage", 2, 4.1), ("sage", 8, 4.1), ("ggp", 2, 3.1), ("rbf", 2, 3.1),
 ])
 def test_infer_exact_peak_memory_counts_k0(monkeypatch, arch, depth, bound):
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
@@ -763,8 +767,11 @@ def test_infer_exact_peak_memory_counts_k0(monkeypatch, arch, depth, bound):
     finally:
         tracemalloc.stop()
     assert peak / (8.0 * n * n) <= bound
-    # the pre-flight check's count covers it
+    # the pre-flight check's count covers it, and holds it to 2 N x N arrays
+    # a layer, 3 with a gcnii skip or a sage self branch
     assert peak / (8.0 * n * n) <= runners.INFER_PEAK_NN[arch]
+    tight = {"gcnii": 3.1, "sage": 3.1, "rbf": 2.7}.get(arch, 2.1)
+    assert runners.INFER_PEAK_NN[arch] == tight
 
 
 # peak of a low-rank infer in N x r float64 arrays (r the landmark count): a
