@@ -27,7 +27,9 @@ place of np.sin, the dearest pass of the expression.
 
 Memory: the ReLU expectation works in row tiles of about _TILE_ELEMENTS
 entries, writing into one preallocated output, so it holds its input, its
-output and three tile buffers.  GraphConv drops its input once A K is
+output and three tile buffers per thread; with W threads sharing the
+tiles, each tile holds a W-th as many entries, so the W threads' buffers
+together hold no more than one thread's would.  GraphConv drops its input once A K is
 formed, when the input came in a one-element list that held its only
 reference, so it holds A K and the product; it transposes and symmetrises
 in place over square blocks.  No other N x N temporary is made.  Each
@@ -37,16 +39,27 @@ block's input and output.  The low-rank activation factors the r x r
 landmark block g(Q[a] Q[a]^T) first, then forms the k <= r pivot columns
 g(Q Q[S]^T), writes the ReLU expectation over them in place and multiplies
 them by L^{-T} in place, one row tile at a time; so it holds its input Q
-and one N x k array, and a low-rank layer peaks near 2 N x r arrays.
+and one N x k array, and a low-rank layer peaks near 2 N x r arrays.  Each
+thread that multiplies by L^{-T} holds one tile-rows x _COL_BLOCK buffer.
+
+Threads: with BLAS pinned to fewer threads than there are usable cores
+(OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or OMP_NUM_THREADS, read as
+OpenBLAS reads them), the row tiles of the ReLU expectation, of the
+pivot-column product and of the product with L^{-T} are shared among
+W = cores // (BLAS threads) threads, the caller one of them; numpy
+releases the GIL in each call they make.  Unpinned, BLAS threads over every core
+itself, W = 1 and each loop runs on the caller alone.  The pool is made
+on first use in each process, so a forked child makes its own.
 
 Passes: the dense ReLU expectation computes only the tiles on and above
 the diagonal and mirrors them below it.  A dense layer, weight and bias,
 is one block (``Weight``) that makes one new array on either path,
 sigma_w^2 K + sigma_b^2 or [sigma_w Q, sigma_b 1]; with a unit weight and
 a zero bias it returns its input itself.  Tiling and mirroring change no
-operation on any element, nor their order, so for a bitwise-symmetric
-input (every kernel this package builds) the results are bit for bit
-those of the untiled full-matrix expression
+operation on any element, nor their order, and neither does sharing the
+tiles among threads, so for a bitwise-symmetric input (every kernel this
+package builds) the results are bit for bit those of the untiled
+full-matrix expression, whatever W is
 
     (0.5 / pi) * denom * (sqrt(1 - rho * rho) + (pi - arccos(rho)) * rho),
     denom = sqrt(K_xx K_x'x'),  rho = clip(K_xx' / denom, -1, 1).
@@ -54,11 +67,16 @@ those of the untiled full-matrix expression
 The Nystrom factor's product with the upper-triangular L^{-T} skips the
 zero half of L^{-T}: it goes one block of _COL_BLOCK columns at a time,
 and a block's columns sum only the rows of L^{-T} above its last column.
+Its row tiles do not depend on W, and the matrix products split among
+threads are cut where BLAS sums each entry as in the whole product
+(``_shared_matmul``), so the factor too has the same bits whatever W is.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -79,6 +97,12 @@ EIG_FLOOR_REL = 1e-10
 _TILE_ELEMENTS = 2**18
 # Columns per block of the Nystrom factor's in-place product with L^{-T}.
 _COL_BLOCK = 64
+# The environment variables OpenBLAS reads for its thread count, in its order.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Row tiles of a shared matrix product start at multiples of _GEMM_ROWS rows
+# and multiply-add at least _GEMM_MIN_WORK times (see ``_shared_matmul``).
+_GEMM_ROWS = 96
+_GEMM_MIN_WORK = 2**20
 
 
 class FactorizationError(RuntimeError):
@@ -254,6 +278,123 @@ def base_poly(
 
 
 # ---------------------------------------------------------------------------
+# row tiles shared among the cores BLAS leaves idle
+
+
+def _blas_threads() -> Optional[int]:
+    """BLAS threads as OpenBLAS counts them: the first positive integer among
+    _BLAS_THREAD_VARS, or None when none is set (it then threads over every
+    core)."""
+    for var in _BLAS_THREAD_VARS:
+        try:
+            threads = int(os.environ.get(var, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
+
+
+def _pool_width() -> int:
+    """Threads that share the row tiles: the usable cores over the BLAS
+    threads, and 1, no pool, when BLAS threads over every core itself."""
+    blas = _blas_threads()
+    if blas is None:
+        return 1
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, cores // blas)
+
+
+# (W, executor of W - 1 threads or None), made on first use in each process
+_pool_state = None
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child, whose copy of it has no threads."""
+    global _pool_state
+    _pool_state = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _tile_pool():
+    """(W, the executor of the W - 1 threads beside the caller, or None)."""
+    global _pool_state
+    if _pool_state is None:
+        workers = _pool_width()
+        _pool_state = (workers, ThreadPoolExecutor(workers - 1, "graphgp-tiles")
+                       if workers > 1 else None)
+    return _pool_state
+
+
+def _in_row_tiles(n_rows: int, rows: int, share: Callable[[range, int], None]) -> None:
+    """Run ``share(starts, rows)`` over the row tiles [r0, r0 + rows) of n_rows rows.
+
+    The W threads of the pool share the tiles: thread w gets the tiles w,
+    w + W, ..., so its first tile is its largest; the calling thread runs
+    share 0 and waits for the others, and the first exception raised in
+    any share is raised here once every share has ended.  With W = 1, one
+    call with every tile.  ``share`` must write only its own tiles' rows.
+    """
+    workers, pool = _tile_pool()
+    starts = range(0, n_rows, rows)
+    if not starts:
+        return
+    futures = [pool.submit(share, starts[w::workers], rows)
+               for w in range(1, min(workers, len(starts)))]
+    try:
+        share(starts[::workers], rows)
+    finally:
+        wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _shared_tile_rows(n_rows: int, n_cols: int) -> int:
+    """Rows of the shared tiles of an elementwise pass over n_rows x n_cols:
+    min(_TILE_ELEMENTS // (n_cols W), ceil(n_rows / W)), at least one, so
+    every thread gets work and the W threads' tile buffers together hold no
+    more than one thread's would."""
+    workers = _tile_pool()[0]
+    return max(1, min(_TILE_ELEMENTS // (max(n_cols, 1) * workers), -(-n_rows // workers)))
+
+
+def _shared_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, its row tiles shared among the pool, bit for bit one product.
+
+    BLAS computes an entry of a product by one of several kernels, which
+    sum in different orders: the full or the edge micro-kernel, chosen by
+    the entry's row within its tile (OpenBLAS's SkylakeX kernel takes rows
+    in groups of 12), or a small-matrix kernel or a matrix-vector product,
+    chosen by the tile's size.  So the tiles have ``_shared_tile_rows``
+    rows, cut to a multiple of _GEMM_ROWS, a multiple of each group size,
+    but at least _GEMM_MIN_WORK multiply-adds, above every small-matrix
+    threshold; the last tile also takes the rows short of a whole tile, so
+    that it is no smaller.  Small tiles keep each thread's BLAS packing
+    buffer small.  With W = 1 it is one call.
+    """
+    n, inner = a.shape
+    out = np.empty((n, b.shape[1]))
+    rows = max(n, 1)
+    if _tile_pool()[0] > 1:
+        least = -(-_GEMM_MIN_WORK // max(inner * b.shape[1], 1))
+        rows = max(_shared_tile_rows(n, b.shape[1]) // _GEMM_ROWS,
+                   -(-least // _GEMM_ROWS), 1) * _GEMM_ROWS
+    last = max(0, n // rows - 1) * rows  # the last tile runs from here to n
+
+    def share(starts: range, rows: int) -> None:
+        for r0 in starts:
+            r1 = n if r0 == last else r0 + rows
+            np.matmul(a[r0:r1], b, out=out[r0:r1])
+
+    _in_row_tiles(last + 1, rows, share)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # ReLU expectation
 
 
@@ -281,8 +422,10 @@ def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
     """ReLU expectation of the columns K[:, idx], given the row variances ``d``.
 
     Writes into ``out`` (which may be ``k_cols`` itself) row tile by row
-    tile and returns it; three tile buffers, allocated once, hold every
-    temporary.  A node with variance at or below ``var_floor`` (by default
+    tile and returns it; the tiles are shared among the W threads of the
+    pool (``_shared_tile_rows``), and three tile buffers per thread,
+    allocated once, hold every temporary.  Each entry goes through the
+    same operations whatever the tiles, so W changes no bit.  A node with variance at or below ``var_floor`` (by default
     VAR_FLOOR_REL * max(d)) has no signal to propagate and gets zero rows
     and columns; a caller that passes only some rows passes the floor of
     the whole kernel.  A non-finite variance, or floor, raises ValueError:
@@ -303,30 +446,33 @@ def _relu_gauss(k_cols: np.ndarray, d: np.ndarray, idx: np.ndarray,
     alive_c = d_cols > var_floor
     sr = np.sqrt(np.where(alive_r, d, 1.0))
     sc = np.sqrt(np.where(alive_c, d_cols, 1.0))
-    rows = _tile_rows(sc.size)
-    size = min(rows, sr.size) * sc.size
-    denom_buf, t_buf, sin_buf = np.empty(size), np.empty(size), np.empty(size)
-    for r0 in range(0, sr.size, rows):
-        r1 = r0 + rows
-        c0 = r0 if symmetric else 0
-        rho = out[r0:r1, c0:]
-        denom = denom_buf[:rho.size].reshape(rho.shape)
-        t = t_buf[:rho.size].reshape(rho.shape)
-        sin_t = sin_buf[:rho.size].reshape(rho.shape)
-        np.multiply(sr[r0:r1, None], sc[None, c0:], out=denom)
-        np.divide(k_cols[r0:r1, c0:], denom, out=rho)
-        np.clip(rho, -1.0, 1.0, out=rho)
-        np.arccos(rho, out=t)
-        np.multiply(rho, rho, out=sin_t)  # sin t = sqrt(1 - rho^2); the clip
-        np.subtract(1.0, sin_t, out=sin_t)  # keeps 1 - rho^2 non-negative
-        np.sqrt(sin_t, out=sin_t)
-        np.subtract(np.pi, t, out=t)  # the order of the untiled expression:
-        t *= rho                      # (0.5 / pi) * denom * (sin t + (pi - t) rho)
-        t += sin_t
-        denom *= 0.5 / np.pi
-        np.multiply(denom, t, out=rho)
-        if symmetric:
-            out[r1:, r0:r1] = out[r0:r1, r1:].T
+
+    def share(starts: range, rows: int) -> None:
+        size = min(rows, sr.size - starts[0]) * sc.size
+        denom_buf, t_buf, sin_buf = np.empty(size), np.empty(size), np.empty(size)
+        for r0 in starts:
+            r1 = r0 + rows
+            c0 = r0 if symmetric else 0
+            rho = out[r0:r1, c0:]
+            denom = denom_buf[:rho.size].reshape(rho.shape)
+            t = t_buf[:rho.size].reshape(rho.shape)
+            sin_t = sin_buf[:rho.size].reshape(rho.shape)
+            np.multiply(sr[r0:r1, None], sc[None, c0:], out=denom)
+            np.divide(k_cols[r0:r1, c0:], denom, out=rho)
+            np.clip(rho, -1.0, 1.0, out=rho)
+            np.arccos(rho, out=t)
+            np.multiply(rho, rho, out=sin_t)  # sin t = sqrt(1 - rho^2); the clip
+            np.subtract(1.0, sin_t, out=sin_t)  # keeps 1 - rho^2 non-negative
+            np.sqrt(sin_t, out=sin_t)
+            np.subtract(np.pi, t, out=t)  # the order of the untiled expression:
+            t *= rho                      # (0.5 / pi) * denom * (sin t + (pi - t) rho)
+            t += sin_t
+            denom *= 0.5 / np.pi
+            np.multiply(denom, t, out=rho)
+            if symmetric:  # below every later tile's columns
+                out[r1:, r0:r1] = out[r0:r1, r1:].T
+
+    _in_row_tiles(sr.size, _shared_tile_rows(sr.size, sc.size), share)
     if not alive_r.all():
         out[~alive_r, :] = 0.0
     if not alive_c.all():
@@ -419,10 +565,14 @@ def chol_factor(c_landmark: np.ndarray,
     N x k array, never the N x r landmark columns; an array of one tile is
     multiplied whole instead, which holds no more.  In place, each row tile
     is multiplied one block of _COL_BLOCK columns at a time, from the last
-    block to the first, through one tile-rows x _COL_BLOCK buffer.  L^{-T}
-    is upper triangular, so block [j0, j1) reads only the tile's columns
-    below j1, which the blocks still to come have not written, and only the
-    rows of L^{-T} above j1: the zero half of L^{-T} is not multiplied.
+    block to the first, through one tile-rows x _COL_BLOCK buffer per
+    thread.  L^{-T} is upper triangular, so block [j0, j1) reads only the
+    tile's columns below j1, which the blocks still to come have not
+    written, and only the rows of L^{-T} above j1: the zero half of L^{-T}
+    is not multiplied.  The W threads of the pool share the row tiles, of
+    _tile_rows(k) rows whatever W is, and the whole product is cut as
+    ``_shared_matmul`` cuts it; whole or in column blocks, which round
+    differently, also follows _tile_rows(k) alone, so W changes no bit.
 
     Restricted to the landmark rows, P P^T reproduces C[a, a] up to the
     dropped directions, so to roundoff when no pivot falls below the floor.
@@ -457,15 +607,19 @@ def chol_factor(c_landmark: np.ndarray,
     # builds under default threads
     rows = _tile_rows(rank)
     if p.shape[0] <= rows:  # one tile: its product is the factor, with no copy back
-        return LowRankFactor(p @ inv_t)
-    buf = np.empty(rows * min(_COL_BLOCK, rank))
-    for r0 in range(0, p.shape[0], rows):
-        tile = p[r0:r0 + rows]
-        for j0 in reversed(range(0, rank, _COL_BLOCK)):
-            j1 = min(j0 + _COL_BLOCK, rank)
-            prod = buf[:tile.shape[0] * (j1 - j0)].reshape(tile.shape[0], j1 - j0)
-            np.matmul(tile[:, :j1], inv_t[:j1, j0:j1], out=prod)
-            tile[:, j0:j1] = prod
+        return LowRankFactor(_shared_matmul(p, inv_t))
+
+    def share(starts: range, rows: int) -> None:
+        buf = np.empty(min(rows, p.shape[0] - starts[0]) * min(_COL_BLOCK, rank))
+        for r0 in starts:
+            tile = p[r0:r0 + rows]
+            for j0 in reversed(range(0, rank, _COL_BLOCK)):
+                j1 = min(j0 + _COL_BLOCK, rank)
+                prod = buf[:tile.shape[0] * (j1 - j0)].reshape(tile.shape[0], j1 - j0)
+                np.matmul(tile[:, :j1], inv_t[:j1, j0:j1], out=prod)
+                tile[:, j0:j1] = prod
+
+    _in_row_tiles(p.shape[0], rows, share)
     return LowRankFactor(p)
 
 
@@ -553,7 +707,7 @@ def apply_block_lowrank(
 
         def columns(piv):
             cols = idx[piv]
-            k_cols = q @ q[cols].T
+            k_cols = _shared_matmul(q, q[cols].T)
             return _relu_gauss(k_cols, d, cols, out=k_cols, var_floor=var_floor)
 
         return chol_factor(block, columns)

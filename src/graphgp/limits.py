@@ -35,13 +35,15 @@ from .programs import KernelProgram, require_memory, run_exact
 
 # telemetry window for the trailing-difference (Cauchy) gap
 CAUCHY_LAG = 10
-# N x N float64 arrays a scan holds at its peak: the CAUCHY_LAG kept
-# kernels, K0 and the layer in flight (2, or 3 for gcnii with its skip).
-# Traced CLI scans at N = 1000, nugget searches included, peaked at 13.0
-# (gcn), 13.8 (gin) and 14.0 (gcnii); the observer's row strips and the ReLU
-# tile buffers have a bounded size, so the count holds at larger N (at 600
-# nodes, where a strip is most of the kernel, they peaked at 15.3).
-SCAN_PEAK_NN = CAUCHY_LAG + 5.5
+# N x N float64 arrays a scan holds at its peak, K0 handed over in a list:
+# the CAUCHY_LAG kept kernels and the layer in flight (2, or 3 for gcnii
+# with its skip), K0 dropped in layer 1.  Traced CLI scans at N = 1000,
+# nugget searches included, peaked at 12.0 (gcn), 12.1 (gin) and 13.0
+# (gcnii); the observer's row strips and the ReLU tile buffers have a
+# bounded size, so the count holds at larger N (at 600 nodes, where a strip
+# is most of the kernel, gcnii peaked at 14.3).  A caller that keeps K0
+# holds one array more.
+SCAN_PEAK_NN = CAUCHY_LAG + 4.5
 # the same for a graph-free scan (``mlp_fixed_point``), which keeps no kernel:
 # K0, a layer's input and its output.  Traced CLI scans at N = 1000 peaked
 # at 3.03, sub- and supercritical, at depth 2 and 20.
@@ -199,16 +201,19 @@ def _rank1_gap(k: np.ndarray, scale: float, v: np.ndarray) -> float:
     return float(resid / norm)
 
 
-def depth_scan(program: KernelProgram, k0: np.ndarray,
+def depth_scan(program: KernelProgram, k0,
                per_layer: Optional[Callable[[int, np.ndarray], None]] = None) -> DepthTrace:
     """Run the program's exact recursion to its depth, recording diagnostics.
 
     The diagnostics are an ``on_layer`` observer of ``run_exact``; besides
     the current kernel, only the last CAUCHY_LAG kernels stay alive, and
-    the observer forms no N x N temporary.  Any node count is accepted, but
-    before the first layer the scan raises ValueError when the SCAN_PEAK_NN
-    N x N arrays of its peak, less the K0 its caller already holds, would
-    not fit in the available memory.  The operator must
+    the observer forms no N x N temporary.  ``k0`` is K0, or a one-element
+    list holding it, which hands it over as ``run_exact`` takes it: it is
+    then dropped in layer 1, and the scan peaks at SCAN_PEAK_NN N x N
+    arrays, K0 included, and at one more when the caller keeps K0.  Any
+    node count is accepted, but before the first layer the scan raises
+    ValueError when the arrays of its peak, less the K0 that already
+    exists, would not fit in the available memory.  The operator must
     be symmetric, nonnegative, irreducible (connected) and aperiodic
     (positive diagonal, which both normalizations guarantee via their
     self-loops); the depth-limit statements assume exactly that.  The
@@ -220,7 +225,8 @@ def depth_scan(program: KernelProgram, k0: np.ndarray,
     if a is None:
         raise ValueError(f"depth scan needs a graph operator, and {program.architecture} "
                          "has none; mlp_fixed_point scans the graph-free recursion")
-    require_memory(a.n_nodes, SCAN_PEAK_NN - 1, "depth scan")
+    require_memory(a.n_nodes, SCAN_PEAK_NN - 1 if isinstance(k0, list) else SCAN_PEAK_NN,
+                   "depth scan")
     m = a.to_csr()
     asym = np.abs(m - m.T)
     if asym.nnz and asym.max() > 1e-12:

@@ -400,7 +400,8 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     # fail before K0, the first N x N array, is made; the count includes it
     require_memory(ds.n_nodes, MLP_SCAN_PEAK_NN if cfg.arch == "mlp" else SCAN_PEAK_NN,
                    "depth scan")
-    k0 = _base_callable(cfg, cfg.gamma)(feats)
+    # handed over in a list, so that a graph scan drops K0 in its first layer
+    k0 = [_base_callable(cfg, cfg.gamma)(feats)]
     grid = _search_grid(cfg)
 
     report = Report("depth-scan")
@@ -412,7 +413,7 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     _report_hyperparameters(report, cfg, sigma_b)
 
     if cfg.arch == "mlp":
-        result = mlp_fixed_point(program.sigma_b, program.sigma_w, k0, program.depth)
+        result = mlp_fixed_point(program.sigma_b, program.sigma_w, k0.pop(), program.depth)
         report.set("regime", result.regime)
         if result.regime == "subcritical":
             report.set("flat_level", float(result.flat_level))

@@ -861,6 +861,26 @@ def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags)
     assert peak / (8.0 * n * n) <= count
 
 
+# peak of a graph depth scan in N x N float64 arrays, K0 made inside the
+# traced window: the runner hands K0 over, so it is dropped in layer 1, and
+# a 12-layer scan holds the CAUCHY_LAG kept kernels and the layer in flight,
+# 2 arrays, 3 with the gcnii skip (12.04 and 13.04 here; one more when the
+# runner kept K0).  A fixed nugget keeps the traced run short
+@pytest.mark.parametrize("arch, in_flight", [("gcn", 2), ("gcnii", 3)])
+def test_depth_scan_peak_memory_drops_k0(monkeypatch, arch, in_flight):
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    n = 600
+    cfg = preloaded(monkeypatch, n, arch=arch, layers=12, sigma_b=0.1, nugget=0.1)
+    tracemalloc.start()
+    try:
+        runners.run_depth_scan(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * n * n) <= limits.CAUCHY_LAG + in_flight + 0.1
+    assert limits.CAUCHY_LAG + in_flight + 0.1 <= limits.SCAN_PEAK_NN
+
+
 @pytest.mark.parametrize("command, arch", [
     ("mc-verify", "gcn"), ("mc-verify", "gcnii"), ("depth scan", "mlp"),
 ])

@@ -1,3 +1,6 @@
+import multiprocessing
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -736,3 +739,137 @@ def test_dense_layer_is_the_two_step_rule_bit_for_bit(sigma_w, sigma_b):
     if sigma_b != 0.0:
         want = np.hstack([want, np.full((7, 1), sigma_b)])
     assert np.array_equal(apply_block_lowrank(q, block).q, want)
+
+
+# ---------------------------------------------------------------------------
+# row tiles shared among a thread pool
+
+
+def test_pool_width_follows_the_blas_threads(monkeypatch):
+    for var in kernels._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert kernels._pool_width() == 1  # BLAS threads over every core itself
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    assert kernels._pool_width() == cores
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")  # read first, as OpenBLAS does
+    assert kernels._pool_width() == max(1, cores // 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not positive: the next one counts
+    monkeypatch.setenv("GOTO_NUM_THREADS", "many")
+    assert kernels._pool_width() == cores
+
+
+def test_pooled_relu_expectation_keeps_its_bits(monkeypatch, pool_width):
+    # 2-worker tiles of 10 rows (4096 // (203 * 2)), the last one 3 rows
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)
+    n = 203
+    k = random_psd(n, 3)
+    k[7] = k[:, 7] = 0.0  # a dead node
+    pool_width(1)
+    want = relu_expectation(k)
+    submitted = pool_width(2)
+    got = relu_expectation(k)
+    assert submitted
+    assert got.tobytes() == want.tobytes()
+    assert not got[7].any() and not got[:, 7].any()
+
+
+@pytest.mark.parametrize("n, width, count, tile_elements", [
+    (2000, 40, 60, 2**18),  # 2000 rows <= _tile_rows(60): the whole product
+    (2000, 100, 150, 2**14),  # 19 row tiles of 109, and three column blocks
+], ids=["whole-product", "column-blocks"])
+def test_pooled_lowrank_activation_keeps_its_bits(monkeypatch, pool_width, n, width,
+                                                  count, tile_elements):
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", tile_elements)
+    factor = LowRankFactor(random_features(n, width, 4))
+    lm = LandmarkSet.draw(np.arange(n), count, 5)
+    pool_width(1)
+    want = apply_block_lowrank(factor, Activation(), lm).q
+    assert want.shape[1] == count
+    assert (n <= kernels._tile_rows(count)) == (tile_elements == 2**18)
+    submitted = pool_width(2)
+    got = apply_block_lowrank(factor, Activation(), lm).q
+    # the pivot-column product, and the whole product, went in two row tiles
+    assert len(submitted) >= 3
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pooled_nystrom_start_keeps_its_bits(pool_width):
+    x = random_features(3000, 64, 6)
+    lm = LandmarkSet.draw(np.arange(3000), 100, 7)
+    pool_width(1)
+    want = nystrom_start(x, lm).q
+    submitted = pool_width(2)
+    got = nystrom_start(x, lm).q
+    assert submitted
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("n, inner, cols", [
+    (4000, 300, 300),  # 300 columns: an unaligned row split changes the last 4
+    (3001, 129, 257),
+    (2000, 50, 70),
+    (40000, 100, 1),  # a matrix-vector product
+])
+def test_shared_matmul_is_one_product(pool_width, workers, n, inner, cols):
+    rng = np.random.default_rng(8)
+    a = rng.normal(size=(n, inner))
+    b = rng.normal(size=(cols, inner)).T
+    want = a @ b
+    submitted = pool_width(workers)
+    got = kernels._shared_matmul(a, b)
+    assert submitted
+    assert got.tobytes() == want.tobytes()
+
+
+def test_a_small_shared_product_is_one_call(pool_width):
+    # tiles below _GEMM_MIN_WORK multiply-adds would reach a small-matrix
+    # kernel, so 300 rows of a 20 x 20 product stay one call
+    rng = np.random.default_rng(9)
+    a, b = rng.normal(size=(300, 20)), rng.normal(size=(20, 20))
+    submitted = pool_width(2)
+    assert kernels._shared_matmul(a, b).tobytes() == (a @ b).tobytes()
+    assert not submitted
+
+
+def test_a_worker_exception_reaches_the_caller(pool_width):
+    pool_width(2)
+    ran = []
+
+    def failing(starts, rows):
+        ran.append(threading.current_thread().name)
+        if 1 in starts:
+            raise RuntimeError("tile 1 failed")
+
+    with pytest.raises(RuntimeError, match="tile 1 failed"):
+        kernels._in_row_tiles(4, 1, failing)
+    assert len(ran) == 2 and any(name.startswith("graphgp-tiles") for name in ran)
+    # the pool still runs every tile
+    seen = []
+    kernels._in_row_tiles(5, 2, lambda starts, rows: seen.extend(starts))
+    assert sorted(seen) == [0, 2, 4]
+
+
+def _relu_matches(k, want):
+    assert relu_expectation(k).tobytes() == want
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_a_forked_child_makes_its_own_pool(pool_width):
+    # the child's copy of the parent's pool has no threads; were it kept,
+    # the child's first shared tile would wait forever
+    submitted = pool_width(2)
+    k = random_psd(300, 10)
+    want = relu_expectation(k).tobytes()
+    assert submitted
+    child = multiprocessing.get_context("fork").Process(target=_relu_matches,
+                                                        args=(k, want))
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+        pytest.fail("the forked child did not finish its ReLU expectation in 60 s")
+    assert child.exitcode == 0

@@ -34,24 +34,27 @@ def inner_k0(n, d, seed):
 
 
 def test_scan_rejects_large_graphs(monkeypatch):
-    # one byte short of the estimate, less the K0 the caller holds: the scan
-    # fails before its first layer, so nothing near an N x N array is allocated
+    # one byte short of the estimate, less the K0 that exists already: the
+    # scan fails before its first layer, so nothing near an N x N array is
+    # allocated.  K0 handed over in a list is dropped in layer 1; a K0 the
+    # caller keeps adds one array
     n = 300
-    need = 8 * (limits.SCAN_PEAK_NN - 1) * n * n
-    monkeypatch.setattr(programs, "available_memory", lambda: int(need) - 1)
     prog = KernelProgram.gcn(sym_operator(n, 0, 0), 2)
     k0 = np.eye(n)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=re.escape(
-                f"depth scan on 300 nodes needs about {limits.SCAN_PEAK_NN - 1:g} N x N")):
-            depth_scan(prog, k0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (8.0 * n * n) <= 0.1
-    monkeypatch.setattr(programs, "available_memory", lambda: int(need))
-    assert depth_scan(prog, k0).layers.size == 2
+    for handed, arrays in ((True, limits.SCAN_PEAK_NN - 1), (False, limits.SCAN_PEAK_NN)):
+        need = 8 * arrays * n * n
+        monkeypatch.setattr(programs, "available_memory", lambda: int(need) - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"depth scan on 300 nodes needs about {arrays:g} N x N")):
+                depth_scan(prog, [k0] if handed else k0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8.0 * n * n) <= 0.1
+        monkeypatch.setattr(programs, "available_memory", lambda: int(need))
+        assert depth_scan(prog, [k0] if handed else k0).layers.size == 2
 
 
 def test_scan_runs_past_200_nodes():

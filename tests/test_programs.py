@@ -231,6 +231,23 @@ def test_all_landmark_lowrank_matches_exact_every_arch():
         assert err <= 1e-10, prog.architecture
 
 
+def test_pooled_gcnii_lowrank_variant_keeps_its_bits(pool_width):
+    # 3000 rows and about 100 pivot columns: the re-factor multiplies by
+    # L^{-T} in two row tiles (the last one ragged), shared between the two
+    # threads, and its pivot-column product goes in two aligned row tiles
+    n = 3000
+    x = random_features(n, 24, seed=21)
+    lm = LandmarkSet.draw(np.arange(n), 100, seed=22)
+    prog = KernelProgram.gcnii(sym_operator(n, extra=n, seed=23), 3, sigma_w=1.2)
+    pool_width(1)
+    want = lowrank_variant(prog, nystrom_start(x, lm), lm).q
+    assert n > kernels._tile_rows(want.shape[1])
+    submitted = pool_width(2)
+    got = lowrank_variant(prog, nystrom_start(x, lm), lm).q
+    assert submitted
+    assert got.tobytes() == want.tobytes()
+
+
 def test_lowrank_rank_bookkeeping():
     n = 15
     x = random_features(n, 6, seed=19)
