@@ -47,7 +47,9 @@ Threads: with BLAS pinned to fewer threads than there are usable cores
 OpenBLAS reads them), the row tiles of the ReLU expectation, of the
 pivot-column product and of the product with L^{-T} are shared among
 W = cores // (BLAS threads) threads, the caller one of them; numpy
-releases the GIL in each call they make.  Unpinned, BLAS threads over every core
+releases the GIL in each call they make.  A ReLU pass of fewer than
+_SHARE_MIN_ELEMENTS entries, and a product too small to split without
+changing its bits, stay on the caller.  Unpinned, BLAS threads over every core
 itself, W = 1 and each loop runs on the caller alone.  The pool is made
 on first use in each process, so a forked child makes its own.
 
@@ -103,6 +105,9 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 # and multiply-add at least _GEMM_MIN_WORK times (see ``_shared_matmul``).
 _GEMM_ROWS = 96
 _GEMM_MIN_WORK = 2**20
+# An elementwise pass of fewer entries runs on the caller alone: waking a
+# pool thread took longer than half such a pass (2 cores, one BLAS thread).
+_SHARE_MIN_ELEMENTS = 2**15
 
 
 class FactorizationError(RuntimeError):
@@ -335,9 +340,10 @@ def _in_row_tiles(n_rows: int, rows: int, share: Callable[[range, int], None]) -
 
     The W threads of the pool share the tiles: thread w gets the tiles w,
     w + W, ..., so its first tile is its largest; the calling thread runs
-    share 0 and waits for the others, and the first exception raised in
-    any share is raised here once every share has ended.  With W = 1, one
-    call with every tile.  ``share`` must write only its own tiles' rows.
+    share 0 and waits for the others, and an exception raised in a share
+    is raised here, once every share has ended.  With W = 1, one call with
+    every tile.  ``share`` must write nothing that another share reads or
+    writes.
     """
     workers, pool = _tile_pool()
     starts = range(0, n_rows, rows)
@@ -357,8 +363,9 @@ def _shared_tile_rows(n_rows: int, n_cols: int) -> int:
     """Rows of the shared tiles of an elementwise pass over n_rows x n_cols:
     min(_TILE_ELEMENTS // (n_cols W), ceil(n_rows / W)), at least one, so
     every thread gets work and the W threads' tile buffers together hold no
-    more than one thread's would."""
-    workers = _tile_pool()[0]
+    more than one thread's would.  A pass of fewer than _SHARE_MIN_ELEMENTS
+    entries takes W = 1."""
+    workers = _tile_pool()[0] if n_rows * n_cols >= _SHARE_MIN_ELEMENTS else 1
     return max(1, min(_TILE_ELEMENTS // (max(n_cols, 1) * workers), -(-n_rows // workers)))
 
 

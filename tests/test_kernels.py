@@ -834,6 +834,16 @@ def test_a_small_shared_product_is_one_call(pool_width):
     assert not submitted
 
 
+def test_a_small_relu_pass_stays_on_the_caller(pool_width):
+    # waking a pool thread costs more than half a pass this small
+    k = random_psd(100, 10)
+    assert k.size < kernels._SHARE_MIN_ELEMENTS
+    want = relu_expectation(k).tobytes()
+    submitted = pool_width(2)
+    assert relu_expectation(k).tobytes() == want
+    assert not submitted
+
+
 def test_a_worker_exception_reaches_the_caller(pool_width):
     pool_width(2)
     ran = []
