@@ -11,6 +11,8 @@ cli infer --dataset $fixture
 for arch in gcnii gin sage mlp rbf ggp; do cli infer --dataset $fixture --arch $arch; done
 # every layered architecture runs through the pivoted Nystrom factor
 for arch in gcn gcnii gin sage mlp; do cli infer --dataset $fixture --arch $arch --path lowrank; done
+# ggp's one GraphConv on the factor
+cli infer --dataset $fixture --arch ggp --path lowrank
 # a dense layer with a non-unit weight and a bias
 for arch in gcn gin mlp; do
   for path in exact lowrank; do

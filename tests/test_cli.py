@@ -67,6 +67,8 @@ GOLDEN_RUNS = (
     # sage with a self branch, which gcn has not, on both paths
     *(("infer", "--arch", "sage", "--path", path, "--sigma-w1", "0.5")
       for path in ("exact", "lowrank")),
+    # ggp's one GraphConv on the factor
+    ("infer", "--arch", "ggp", "--path", "lowrank", "--poly-c", "2", "--poly-d", "2"),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
