@@ -31,23 +31,10 @@ import numpy as np
 
 from .adjacency import SpectralInfo, is_connected, spectral_radius
 from .kernels import _tile_rows, relu_expectation
-from .programs import KernelProgram, require_memory, run_exact
+from .programs import KernelProgram, peak_arrays, require_memory, run_exact
 
 # telemetry window for the trailing-difference (Cauchy) gap
 CAUCHY_LAG = 10
-# N x N float64 arrays a scan holds at its peak, K0 handed over in a list:
-# the CAUCHY_LAG kept kernels and the layer in flight (2, or 3 for gcnii
-# with its skip), K0 dropped in layer 1.  Traced CLI scans at N = 1000,
-# nugget searches included, peaked at 12.0 (gcn), 12.1 (gin) and 13.0
-# (gcnii); the observer's row strips and the ReLU tile buffers have a
-# bounded size, so the count holds at larger N (at 600 nodes, where a strip
-# is most of the kernel, gcnii peaked at 14.3).  A caller that keeps K0
-# holds one array more.
-SCAN_PEAK_NN = CAUCHY_LAG + 4.5
-# the same for a graph-free scan (``mlp_fixed_point``), which keeps no kernel:
-# K0, a layer's input and its output.  Traced CLI scans at N = 1000 peaked
-# at 3.03, sub- and supercritical, at depth 2 and 20.
-MLP_SCAN_PEAK_NN = 3.1
 # Lanczos basis size of the top-two solve (ARPACK's default for two
 # eigenvalues); a restart keeps the best half of its Ritz vectors
 LANCZOS_BASIS = 20
@@ -209,23 +196,23 @@ def depth_scan(program: KernelProgram, k0,
     the current kernel, only the last CAUCHY_LAG kernels stay alive, and
     the observer forms no N x N temporary.  ``k0`` is K0, or a one-element
     list holding it, which hands it over as ``run_exact`` takes it: it is
-    then dropped in layer 1, and the scan peaks at SCAN_PEAK_NN N x N
-    arrays, K0 included, and at one more when the caller keeps K0.  Any
-    node count is accepted, but before the first layer the scan raises
-    ValueError when the arrays of its peak, less the K0 that already
-    exists, would not fit in the available memory.  The operator must
-    be symmetric, nonnegative, irreducible (connected) and aperiodic
-    (positive diagonal, which both normalizations guarantee via their
-    self-loops); the depth-limit statements assume exactly that.  The
-    optional ``per_layer`` callback sees each dense kernel as it is produced.
-    A program with no operator (mlp) is rejected; ``mlp_fixed_point`` scans
-    the graph-free recursion.
+    then dropped in layer 1, and the scan peaks at CAUCHY_LAG N x N arrays
+    beside those of a layer (``peak_arrays``), K0 among them, and at one
+    more when the caller keeps K0.  Any node count is accepted, but before
+    the first layer the scan raises ValueError when the arrays of its peak,
+    less the K0 that already exists, would not fit in the available
+    memory.  The operator must be symmetric, nonnegative, irreducible
+    (connected) and aperiodic (positive diagonal, which both normalizations
+    guarantee via their self-loops); the depth-limit statements assume
+    exactly that.  The optional ``per_layer`` callback sees each dense
+    kernel as it is produced.  A program with no operator (mlp) is
+    rejected; ``mlp_fixed_point`` scans the graph-free recursion.
     """
     a = program.a
     if a is None:
         raise ValueError(f"depth scan needs a graph operator, and {program.architecture} "
                          "has none; mlp_fixed_point scans the graph-free recursion")
-    require_memory(a.n_nodes, SCAN_PEAK_NN - 1 if isinstance(k0, list) else SCAN_PEAK_NN,
+    require_memory(a.n_nodes, CAUCHY_LAG + peak_arrays(program) - isinstance(k0, list),
                    "depth scan")
     m = a.to_csr()
     asym = np.abs(m - m.T)

@@ -21,24 +21,27 @@ moment, whose NNGP rule is the same scale.
 
 Each layer is one block recipe (``_layer``), written against an
 ``apply(rep, block)`` callable, and ``_drive`` folds it over the depth.  It
-has three readers: ``run_exact`` applies it with ``apply_block_exact``,
-``lowrank_variant`` with ``apply_block_lowrank``, and the finite-width
-sampler (``finite_width.sample_covariance``) draws it as a network, each
-``Weight`` a fresh Gaussian layer.  All keep only the current layer alive
-and return the final one; ``run_exact``'s ``on_layer(l, K)`` hook sees every
-layer on the way.
+has four readers: ``run_exact`` applies it with ``apply_block_exact``,
+``lowrank_variant`` with ``apply_block_lowrank``, the finite-width sampler
+(``finite_width.sample_covariance``) draws it as a network, each ``Weight``
+a fresh Gaussian layer, and ``peak_arrays`` counts the arrays it holds at
+once, which every memory pre-check reads.  All keep only the current layer
+alive and return the final one; ``run_exact``'s ``on_layer(l, K)`` hook sees
+every layer on the way.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import kernels
 from .adjacency import SparseAdjacency
 from .kernels import (
     Activation,
@@ -48,6 +51,7 @@ from .kernels import (
     LandmarkSet,
     LowRankFactor,
     Weight,
+    _take,
     apply_block_exact,
     apply_block_lowrank,
     base_inner,
@@ -198,13 +202,12 @@ def _drive(program: KernelProgram, held: list, apply: Callable,
     block's once its output exists.  Only the current representation (and
     the gcnii skip) stays alive, and the starting one is dropped inside
     layer 1 (after the gcnii skip is made), unless the caller keeps its own
-    reference.  On the dense path a layer peaks near 2 N x N arrays (3 for
-    gcnii, whose skip stays, and for sage, whose self branch keeps the
-    input while the neighbour branch is made), K0 included, not counting
-    kernels an observer keeps.  On the low-rank path it peaks near 2 N x r
-    arrays: the Activation's input beside the new factor, GraphConv's input
-    beside A P, and A P beside the dense layer's [sigma_w A P, sigma_b 1].
-    ``on_layer(l, rep)`` sees each layer's output, l = 1..depth.
+    reference.  ``peak_arrays`` counts the arrays this leaves alive at
+    once, K0 included, not counting kernels an observer keeps.  On the
+    low-rank path a layer peaks near 2 N x r arrays: the Activation's input
+    beside the new factor, GraphConv's input beside A P, and A P beside the
+    dense layer's [sigma_w A P, sigma_b 1].  ``on_layer(l, rep)`` sees each
+    layer's output, l = 1..depth.
     """
     # gcnii's initial skip, made once and re-added by every layer
     skip = apply(held[0], Weight(program.alpha)) if program.architecture == "gcnii" else None
@@ -230,11 +233,10 @@ def run_exact(program: KernelProgram, k0,
     is the operator's size, or for mlp, which has no operator, the
     kernel's own.  A list is emptied, which hands K0 over: run_exact then
     holds its only reference and drops it inside layer 1, once its first
-    block has read it, so K0 counts towards the 2 N x N arrays of a
-    layer's peak (3 for gcnii and sage) and not on top of them.  A
-    caller's array argument, by contrast, stays alive until the call
-    returns (on Python 3.10 even the unnamed result of an expression does),
-    and so does K0 with it.
+    block has read it, so K0 counts among the arrays of the peak
+    (``peak_arrays``) and not on top of them.  A caller's array argument,
+    by contrast, stays alive until the call returns (on Python 3.10 even
+    the unnamed result of an expression does), and so does K0 with it.
 
     ``Weight(1.0, 0.0)`` passes its input on, so mlp at depth 1 with
     sigma_w = 1 and sigma_b = 0 returns K0 itself.
@@ -247,6 +249,40 @@ def run_exact(program: KernelProgram, k0,
     if shape != (n, n):
         raise ValueError(f"base kernel shape {shape} does not match {n} nodes")
     return _drive(program, held, apply_block_exact, on_layer)
+
+
+class _Token:
+    """Stands where a representation array would be (see ``peak_arrays``)."""
+
+
+def peak_arrays(program: KernelProgram) -> int:
+    """Representation arrays the program holds at once at its peak, the
+    start one included: N x N kernels on the dense path, n x width draws in
+    the sampler.
+
+    Read from the recipe: ``_drive`` runs an applier that makes a weakly
+    referenced token wherever an array would be, and Python frees the tokens
+    where it would free the arrays, so the count follows the hand-over of
+    ``_chain`` and ``_drive``.  GraphConv makes A K beside its input, drops
+    the input, then makes the product beside A K; every other block, a unit
+    ``Weight`` included, makes its output beside its input.  Buffers of a
+    bounded size (the ReLU's row tiles) are not counted.
+    """
+    alive, peak = weakref.WeakSet(), [0]
+
+    def array():
+        token = _Token()
+        alive.add(token)
+        peak[0] = max(peak[0], len(alive))
+        return token
+
+    def apply(rep, block):
+        out = array()  # A K, or the block's output, beside the input
+        _take(rep)
+        return array() if isinstance(block, GraphConv) else out
+
+    _drive(program, [array()], apply)
+    return peak[0]
 
 
 def _read(path: str) -> Optional[str]:
@@ -294,10 +330,11 @@ def require_memory(n_nodes: int, n_arrays: float, what: str, remedy: str = "") -
     """Raise ValueError when ``n_arrays`` N x N float64 arrays will not fit.
 
     Meant to run before the first N x N allocation of a dense computation;
-    it compares n_arrays * N^2 * 8 bytes with ``available_memory()`` and
-    checks nothing when no bound can be read.  ``remedy`` ends the message.
+    it compares n_arrays * N^2 * 8 bytes, plus the three row-tile buffers of
+    the ReLU expectation, with ``available_memory()`` and checks nothing
+    when no bound can be read.  ``remedy`` ends the message.
     """
-    need = 8.0 * n_arrays * n_nodes**2
+    need = 8.0 * (n_arrays * n_nodes**2 + 3 * kernels._TILE_ELEMENTS)
     avail = available_memory()
     if avail is not None and need > avail:
         raise ValueError(

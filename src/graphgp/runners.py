@@ -35,22 +35,15 @@ from .inference import (
     score_mean,
     training_targets,
 )
-from .kernels import (
-    GraphConv,
-    LandmarkSet,
-    apply_block_exact,
-    apply_block_lowrank,
-    base_inner,
-    base_poly,
-    base_rbf,
-)
-from .limits import MLP_SCAN_PEAK_NN, SCAN_PEAK_NN, depth_scan, mlp_fixed_point
+from .kernels import LandmarkSet, base_inner, base_poly, base_rbf
+from .limits import CAUCHY_LAG, depth_scan, mlp_fixed_point
 from .programs import (
     ARCHITECTURES,
     KernelProgram,
     check_sigmas,
     lowrank_variant,
     nystrom_start,
+    peak_arrays,
     require_memory,
     run_exact,
 )
@@ -60,32 +53,11 @@ ARCH_CHOICES = ("gcn", "gcnii", "gin", "sage", "ggp", "mlp", "rbf")
 PATH_CHOICES = ("exact", "lowrank")
 ROW_NORMALIZED = ("sage", "ggp")
 GAMMA_GRID = tuple(np.logspace(-2, 2, 9))
-# N x N float64 arrays an exact-path infer holds at its peak, K0 included:
-# a block's input and output (2), since GraphConv drops its input once A K is
-# formed, plus the gcnii skip (3); sage with sigma_w1 > 0 keeps the input for
-# its self branch while the neighbour branch is made (3), and with sigma_w1 =
-# 0 it is a gcn layer.  ggp's one GraphConv is a layer; rbf's nugget search
-# runs on a candidate kernel beside the best fit's.  Traced runs at N = 1000,
-# with tile buffers of 2^12 entries, peaked at 2.02-2.04, at 3.02-3.04 for
-# gcnii and sage, and at 2.63 for rbf.
-INFER_PEAK_NN = {"gcn": 2.1, "gin": 2.1, "mlp": 2.1, "ggp": 2.1, "rbf": 2.7,
-                 "gcnii": 3.1, "sage": 3.1}
-# While it samples, mc-verify holds the analytic kernel, the running sum and
-# a draw's z z^T beside at most MC_DRAW_ARRAYS n x width arrays of the draw
-# and a hidden layer's k x width normals, k the fan-in (below 4 N; a wider
-# layer draws N x width).  The sampler hands each block's input on, so a
-# draw holds a block's input and output (2), and gcnii's skip lift or sage's
-# neighbour branch beside them (3).  The analytic kernel's build, at most
-# 3.1 (INFER_PEAK_NN), stays below that.  Traced at N = 1000, K0 included:
-# gcn 3.08, 5.02 and 17.0 at width 64, 1000 and 3000 (depth 3); gcnii 3.08,
-# 6.01 and 20.0.
-MC_DRAW_ARRAYS = 3
-
-
-def _mc_verify_peak_nn(n_nodes: int, width: int) -> float:
-    """mc-verify's peak in N x N arrays, the draws' arrays included."""
-    w = width / n_nodes
-    return 3.1 + (MC_DRAW_ARRAYS + min(w, 4.0)) * w
+# N x N float64 arrays an exact-path rbf infer holds at its peak: the gamma
+# search builds each candidate's kernel beside the best fit's, which no
+# layer recipe shows.  Traced at N = 1000, with tile buffers of 2^12 entries,
+# it peaked at 2.63.
+RBF_PEAK_NN = 2.7
 
 
 @dataclass
@@ -127,7 +99,8 @@ class RunConfig:
             raise ValueError(f"path must be one of {PATH_CHOICES}, got {self.path!r}")
         if self.layers < 1:
             raise ValueError("layers must be positive")
-        check_sigmas(self)  # rbf and ggp build no program that would check them
+        # rbf builds no program that would check them, and ggp's has unit sigmas
+        check_sigmas(self)
         if self.landmarks is not None and self.landmarks < 1:
             raise ValueError("landmarks must be positive")
         if self.nugget is not None and not 0 < self.nugget < math.inf:
@@ -198,8 +171,8 @@ def _base_callable(cfg: RunConfig, gamma: Optional[float]):
 
 def _program_for(cfg: RunConfig, a, sigma_b: float) -> KernelProgram:
     """The run's layered program, built from (and so validating) every
-    hyperparameter of ``cfg``.  The one place a run rejects ggp and rbf,
-    which have no layered program."""
+    hyperparameter of ``cfg``.  The one place a run rejects ggp and rbf:
+    rbf has no program, and ggp's (one GraphConv) only ``infer`` builds."""
     if cfg.arch not in ARCHITECTURES:
         raise ValueError(
             f"this command runs the layered architectures {', '.join(ARCHITECTURES)}, "
@@ -234,26 +207,23 @@ def _preprocess(cfg: RunConfig, ds: Dataset, landmark_count: Optional[int]) -> n
     return feats
 
 
-def _build_representation(cfg: RunConfig, program: Optional[KernelProgram], a, feats,
+def _build_representation(cfg: RunConfig, program: Optional[KernelProgram], feats,
                           landmarks: Optional[LandmarkSet], gamma: Optional[float]):
     """The run's kernel: dense array (exact) or LowRankFactor (lowrank).
 
-    Both start from the base covariance: rbf returns it, ggp applies one
-    GraphConv, and the layered architectures run ``program`` on it.  K0
-    or the start factor is handed to GraphConv, ``run_exact`` or
-    ``lowrank_variant`` in a list, so that it can be released once read."""
+    Both start from the base covariance: rbf, which has no ``program``,
+    returns it, and every other architecture runs ``program`` on it.  K0
+    or the start factor is handed to ``run_exact`` or ``lowrank_variant``
+    in a list, so that it can be released once read."""
     base_fn = _base_callable(cfg, gamma)
     if cfg.path == "exact":
-        rep, apply = base_fn(feats), apply_block_exact
+        rep = base_fn(feats)
     else:
         rep = nystrom_start(feats, landmarks, base_fn)
-        apply = partial(apply_block_lowrank, landmarks=landmarks)
-    if cfg.arch == "rbf":
+    if program is None:
         return rep
     held = [rep]
     del rep
-    if cfg.arch == "ggp":
-        return apply(held, GraphConv(a))
     if cfg.path == "lowrank":
         return lowrank_variant(program, held, landmarks)
     return run_exact(program, held)
@@ -306,11 +276,16 @@ def run_infer(cfg: RunConfig) -> Report:
         landmarks = _pick_landmarks(cfg, ds.splits.train, ds.n_nodes)
     feats = _preprocess(cfg, ds, landmarks.count if landmarks else None)
     a = _operator_for(cfg.arch, ds)
-    program = _program_for(cfg, a, sigma_b) if cfg.arch in ARCHITECTURES else None
+    if cfg.arch == "rbf":
+        program = None
+    elif cfg.arch == "ggp":  # one GraphConv, then Weight(1, 0), which passes it on
+        program = KernelProgram.gcn(a, 1)
+    else:
+        program = _program_for(cfg, a, sigma_b)
     if cfg.path == "exact":
         # fail before K0, the first N x N array, is made; the count includes it
-        require_memory(ds.n_nodes, INFER_PEAK_NN[cfg.arch], "infer --path exact",
-                       "; --path lowrank needs no N x N array")
+        require_memory(ds.n_nodes, RBF_PEAK_NN if program is None else peak_arrays(program),
+                       "infer --path exact", "; --path lowrank needs no N x N array")
 
     # hyperparameter candidates: the rbf baseline grid-searches gamma
     if cfg.arch == "rbf" and cfg.gamma is None:
@@ -322,7 +297,7 @@ def run_infer(cfg: RunConfig) -> Report:
     search_rows = []
     for gamma in gamma_candidates:
         with phases.phase("kernel_build"):
-            rep = _build_representation(cfg, program, a, feats, landmarks, gamma)
+            rep = _build_representation(cfg, program, feats, landmarks, gamma)
         with phases.phase("nugget_search"):
             fit, trace = nugget_search(rep, ds.splits, ds.targets, _search_grid(cfg), task)
         for eps_i, score_i in trace:
@@ -397,9 +372,11 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     sigma_b = _default_sigma_b(cfg, task)
     feats = _preprocess(cfg, ds, None)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
-    # fail before K0, the first N x N array, is made; the count includes it
-    require_memory(ds.n_nodes, MLP_SCAN_PEAK_NN if cfg.arch == "mlp" else SCAN_PEAK_NN,
-                   "depth scan")
+    # fail before K0, the first N x N array, is made; the count includes it.
+    # Beside a layer's arrays, a graph scan keeps its window of kernels, and
+    # ``mlp_fixed_point`` keeps K0
+    kept = 1 if program.a is None else CAUCHY_LAG
+    require_memory(ds.n_nodes, kept + peak_arrays(program), "depth scan")
     # handed over in a list, so that a graph scan drops K0 in its first layer
     k0 = [_base_callable(cfg, cfg.gamma)(feats)]
     grid = _search_grid(cfg)
@@ -458,10 +435,14 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     sigma_b = _default_sigma_b(cfg, ds.task)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
     # fail before K0, the first N x N array, is made: the sampling plan's
-    # checks, then the memory count, which includes K0
+    # checks, then the memory count.  While it samples, mc-verify holds the
+    # analytic kernel, the running sum and a draw's z z^T beside the draw's
+    # n x width arrays, as many as a kernel build's N x N arrays, and a
+    # hidden layer's k x width normals, k the fan-in (below 4 N; a wider layer
+    # draws N x width).  The analytic kernel's build stays below that.
     mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
-    require_memory(ds.n_nodes, _mc_verify_peak_nn(ds.n_nodes, cfg.width),
-                   "mc-verify")
+    w = cfg.width / ds.n_nodes
+    require_memory(ds.n_nodes, 3 + (peak_arrays(program) + min(w, 4.0)) * w, "mc-verify")
     analytic = run_exact(program, [base_inner(ds.features)])
     empirical = sample_covariance(mc, ds.features)
     err = compare_covariance(empirical, analytic)

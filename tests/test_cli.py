@@ -34,7 +34,7 @@ from graphgp import cli, kernels, limits, programs, runners
 from graphgp.cli import main
 from graphgp.runners import ARCH_CHOICES, RunConfig, run_benchmark
 
-from conftest import FIXTURE_DIR
+from conftest import FIXTURE_DIR, UNCOUNTED_NN, precheck_nn
 
 GOLDEN_SCHEMA = os.path.join(os.path.dirname(__file__), "data", "infer_schema.txt")
 GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "data", "fixture_reports.txt")
@@ -688,7 +688,7 @@ def test_non_finite_hyperparameters_fail_at_their_flag(args, name, value, capsys
 @pytest.mark.parametrize("flag", ["--sigma-b", "--sigma-w"])
 @pytest.mark.parametrize("arch", ["rbf", "ggp"])
 def test_graph_free_and_ggp_sigmas_fail_at_their_flag(arch, flag, value, capsys):
-    # rbf and ggp build no layered program, yet take both sigmas
+    # rbf builds no program and ggp's has unit sigmas, yet both take the flags
     code, out, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--arch", arch,
                              flag, value)
     assert (code, out) == (1, "")
@@ -742,38 +742,70 @@ def preloaded(monkeypatch, n, **kwargs):
     return RunConfig(dataset="preloaded", **kwargs)
 
 
+def traced_run(monkeypatch, run, cfg, n):
+    """``run(cfg)``'s traced peak and the count of its memory pre-check, both
+    in N x N float64 arrays (the pre-check's with its row-tile buffers),
+    and its report."""
+    counts = []
+    check = runners.require_memory
+
+    def spy(n_nodes, n_arrays, *args):
+        counts.append(precheck_nn(n_nodes, n_arrays))
+        check(n_nodes, n_arrays, *args)
+
+    monkeypatch.setattr(runners, "require_memory", spy)
+    tracemalloc.start()
+    try:
+        report = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * n * n), counts[0], report
+
+
 # peak of an exact-path infer in N x N float64 arrays, with K0 made inside the
-# traced window: the runner hands K0 over and GraphConv drops it once A K is
-# formed, so a block's input and output (plus the gcnii skip) include it;
-# sage's self branch keeps the input while the neighbour branch is made; rbf
-# searches each candidate's nugget beside the best fit's kernel alone.  The
-# tight bound is INFER_PEAK_NN, the pre-flight count: 2.1 for gcn, gin, mlp
-# and ggp, 3.1 for gcnii and sage, 2.7 for rbf.  The third value, part of each
-# test's id, is the looser count of a layer that kept its input through
-# GraphConv (3.1, or 4.1 for gcnii and sage)
+# traced window, within the pre-flight count: the arrays ``peak_arrays`` reads
+# from the recipe (ggp's is one GraphConv), or rbf's named count, whose gamma
+# search builds each candidate beside the best fit's kernel.  The runner hands
+# K0 over and GraphConv drops it once A K is formed, so a block's input and
+# output (plus the gcnii skip) include it; sage's self branch keeps the input
+# while the neighbour branch is made.  The third value, part of each test's
+# id, is the looser count of a layer that kept its input through GraphConv
+# (3.1, or 4.1 for gcnii and sage)
 @pytest.mark.parametrize("arch, depth, bound", [
     ("gcn", 2, 3.1), ("gcn", 8, 3.1), ("gin", 2, 3.1), ("gin", 8, 3.1),
     ("mlp", 2, 3.1), ("mlp", 8, 3.1), ("gcnii", 2, 4.1), ("gcnii", 8, 4.1),
     ("sage", 2, 4.1), ("sage", 8, 4.1), ("ggp", 2, 3.1), ("rbf", 2, 3.1),
 ])
 def test_infer_exact_peak_memory_counts_k0(monkeypatch, arch, depth, bound):
-    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)
     n = 1000
     # non-unit weights and a bias, so that no block hands its input back
     cfg = preloaded(monkeypatch, n, arch=arch, layers=depth, sigma_w=1.2, sigma_b=0.1,
                     sigma_w1=0.5)
-    tracemalloc.start()
-    try:
-        runners.run_infer(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (8.0 * n * n) <= bound
-    # the pre-flight check's count covers it, and holds it to 2 N x N arrays
-    # a layer, 3 with a gcnii skip or a sage self branch
-    assert peak / (8.0 * n * n) <= runners.INFER_PEAK_NN[arch]
-    tight = {"gcnii": 3.1, "sage": 3.1, "rbf": 2.7}.get(arch, 2.1)
-    assert runners.INFER_PEAK_NN[arch] == tight
+    peak, count, _ = traced_run(monkeypatch, runners.run_infer, cfg, n)
+    assert peak <= bound
+    assert peak <= count + UNCOUNTED_NN
+    # 2 N x N arrays a layer, 3 with a gcnii skip or a sage self branch
+    arrays = {"gcnii": 3, "sage": 3, "rbf": runners.RBF_PEAK_NN}.get(arch, 2)
+    assert count == precheck_nn(n, arrays)
+
+
+# the same for infer and scans at the default row tiles, whose three buffers
+# (6 MiB) are most of an N x N array at these sizes; a fixed nugget keeps the
+# traced scan short
+@pytest.mark.parametrize("command, flags", [
+    ("infer", dict(arch="gcn", n=1000)), ("infer", dict(arch="gcnii", n=1000)),
+    ("depth-scan", dict(arch="mlp", layers=8, n=600)),
+    ("depth-scan", dict(arch="gin", layers=12, n=600, nugget=0.1)),
+], ids=["infer-gcn", "infer-gcnii", "scan-mlp", "scan-gin"])
+def test_peak_memory_within_its_count_at_default_tiles(monkeypatch, command, flags):
+    flags = dict(flags)
+    n = flags.pop("n")
+    cfg = preloaded(monkeypatch, n, sigma_w=1.2, sigma_b=0.1, **flags)
+    run = runners.run_infer if command == "infer" else runners.run_depth_scan
+    peak, count, _ = traced_run(monkeypatch, run, cfg, n)
+    assert peak <= count + UNCOUNTED_NN
 
 
 # peak of a low-rank infer in N x r float64 arrays (r the landmark count): a
@@ -809,8 +841,8 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
     # nothing near an N x N array is allocated; exactly enough runs
     n = 500
     cfg = preloaded(monkeypatch, n, arch=arch)
-    count = runners.INFER_PEAK_NN[arch]
-    need = math.ceil(8.0 * count * n**2)
+    count = {"gcn": 2, "gcnii": 3, "rbf": runners.RBF_PEAK_NN}[arch]
+    need = math.ceil(8.0 * (count * n**2 + 3 * kernels._TILE_ELEMENTS))
     monkeypatch.setattr(programs, "available_memory", lambda: need - 1)
     tracemalloc.start()
     try:
@@ -831,8 +863,8 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
 
 
 # peak of mc-verify and of an mlp depth scan in N x N float64 arrays, K0 made
-# inside the traced window; mc-verify's count grows with width / N, for the
-# draws' n x width arrays
+# inside the traced window, within the pre-flight count; mc-verify's grows
+# with width / N, for the draws' n x width arrays
 @pytest.mark.parametrize("command, flags", [
     ("mc-verify", dict(arch="gcn", width=64)), ("mc-verify", dict(arch="gcnii", width=64)),
     ("mc-verify", dict(arch="gcn", width=1000)), ("mc-verify", dict(arch="sage", width=1000)),
@@ -843,24 +875,16 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
 ], ids=["mc-gcn", "mc-gcnii", "mc-gcn-wide", "mc-sage-wide", "mc-gcn-n-by-n-root",
         "mc-gcnii-3n", "mlp-sub", "mlp-super"])
 def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags):
-    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)
     flags = dict(flags)
     n = flags.pop("n", 1000)
     cfg = preloaded(monkeypatch, n, sigma_b=0.1, samples=1, **flags)
-    tracemalloc.start()
-    try:
-        report = runners.run_mc_verify(cfg) if command == "mc-verify" else (
-            runners.run_depth_scan(cfg))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    run = runners.run_mc_verify if command == "mc-verify" else runners.run_depth_scan
+    peak, count, report = traced_run(monkeypatch, run, cfg, n)
     if command == "depth-scan":
         assert report.scalars["regime"] == ("supercritical" if "sigma_w" in flags else
                                             "subcritical")
-        count = limits.MLP_SCAN_PEAK_NN
-    else:
-        count = runners._mc_verify_peak_nn(n, cfg.width)
-    assert peak / (8.0 * n * n) <= count
+    assert peak <= count + UNCOUNTED_NN
 
 
 # peak of a graph depth scan in N x N float64 arrays, K0 made inside the
@@ -870,17 +894,12 @@ def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags)
 # runner kept K0).  A fixed nugget keeps the traced run short
 @pytest.mark.parametrize("arch, in_flight", [("gcn", 2), ("gcnii", 3)])
 def test_depth_scan_peak_memory_drops_k0(monkeypatch, arch, in_flight):
-    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)  # tile buffers negligible
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)
     n = 600
     cfg = preloaded(monkeypatch, n, arch=arch, layers=12, sigma_b=0.1, nugget=0.1)
-    tracemalloc.start()
-    try:
-        runners.run_depth_scan(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak / (8.0 * n * n) <= limits.CAUCHY_LAG + in_flight + 0.1
-    assert limits.CAUCHY_LAG + in_flight + 0.1 <= limits.SCAN_PEAK_NN
+    peak, count, _ = traced_run(monkeypatch, runners.run_depth_scan, cfg, n)
+    assert peak <= count + UNCOUNTED_NN
+    assert count == precheck_nn(n, limits.CAUCHY_LAG + in_flight)
 
 
 @pytest.mark.parametrize("command, arch", [
@@ -892,10 +911,14 @@ def test_dense_diagnostics_reject_large_graphs_before_k0(monkeypatch, command, a
     n = 500
     cfg = preloaded(monkeypatch, n, arch=arch, width=64, samples=2)
     if command == "mc-verify":
-        run, count = runners.run_mc_verify, runners._mc_verify_peak_nn(n, 64)
+        # the analytic kernel, the running sum and z z^T, beside a draw's
+        # arrays (as many as a build's: 2, 3 with the gcnii skip) and normals
+        w = 64 / n
+        run, count = runners.run_mc_verify, 3 + ({"gcnii": 3}.get(arch, 2) + w) * w
     else:
-        run, count = runners.run_depth_scan, limits.MLP_SCAN_PEAK_NN
-    need = math.ceil(8.0 * count * n**2)
+        # K0, which mlp_fixed_point keeps, beside a layer's input and output
+        run, count = runners.run_depth_scan, 3
+    need = math.ceil(8.0 * (count * n**2 + 3 * kernels._TILE_ELEMENTS))
     monkeypatch.setattr(programs, "available_memory", lambda: need - 1)
     tracemalloc.start()
     try:

@@ -14,9 +14,12 @@ from graphgp import (
     mlp_recursion,
     normalize_sym,
 )
+from graphgp.programs import peak_arrays
 
 from conftest import (
+    UNCOUNTED_NN,
     every_layer,
+    precheck_nn,
     random_features,
     random_psd,
     row_operator,
@@ -41,8 +44,10 @@ def test_scan_rejects_large_graphs(monkeypatch):
     n = 300
     prog = KernelProgram.gcn(sym_operator(n, 0, 0), 2)
     k0 = np.eye(n)
-    for handed, arrays in ((True, limits.SCAN_PEAK_NN - 1), (False, limits.SCAN_PEAK_NN)):
-        need = 8 * arrays * n * n
+    for handed in (True, False):
+        # the window and a layer's 2 arrays, K0 among them when handed over
+        arrays = limits.CAUCHY_LAG + 2 - handed
+        need = 8.0 * (arrays * n * n + 3 * kernels._TILE_ELEMENTS)
         monkeypatch.setattr(programs, "available_memory", lambda: int(need) - 1)
         tracemalloc.start()
         try:
@@ -382,8 +387,8 @@ def test_observer_gaps_in_row_strips(monkeypatch):
 
 @pytest.mark.parametrize("arch", ["gcn", "gcnii", "gin"])
 def test_scan_peak_within_its_estimate(monkeypatch, arch):
-    # the observer's strips as small as at a large N; K0 counts, since every
-    # caller holds it through the scan
+    # the observer's strips as small as at a large N; the caller holds K0
+    # through the scan, on top of what the scan's pre-check counts
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)
     n = 600
     a = sym_operator(n, 300, 2)
@@ -395,7 +400,8 @@ def test_scan_peak_within_its_estimate(monkeypatch, arch):
         peak = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
     finally:
         tracemalloc.stop()
-    assert limits.CAUCHY_LAG + 3 <= peak <= limits.SCAN_PEAK_NN
+    count = precheck_nn(n, 1 + limits.CAUCHY_LAG + peak_arrays(prog))
+    assert limits.CAUCHY_LAG + 3 <= peak <= count + UNCOUNTED_NN
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,16 @@ from graphgp import (
     sample_covariance,
     synthetic_dataset,
 )
+from graphgp.programs import peak_arrays
 
-from conftest import every_layer, random_features, row_operator, sym_operator
+from conftest import (
+    UNCOUNTED_NN,
+    every_layer,
+    precheck_nn,
+    random_features,
+    row_operator,
+    sym_operator,
+)
 
 
 # Independent oracle: the ReLU expectation written from scratch (arccos on
@@ -353,18 +361,32 @@ def test_finite_width_agreement(arch):
     assert compare_covariance(empirical, analytic) <= 0.05
 
 
-# peak of run_exact in N x N float64 arrays: the input kernel is allocated
-# before tracing starts, and every later input is dropped once its block has
-# read it, so a layer holds a block's input and output (plus the gcnii skip,
-# or the input sage's self branch keeps): about 2.07 N x N, 3.07 for gcnii.
-# The bounds, part of each test's id, are those of a layer that kept its
-# input through GraphConv
+@pytest.mark.parametrize("depth", [1, 2, 3, 8])
+def test_peak_arrays_reads_the_recipe(depth):
+    # a block's input and output; a third array for the gcnii skip and for the
+    # input sage's self branch keeps while the neighbour branch is made
+    a, row = sym_operator(6), row_operator(6)
+    assert peak_arrays(KernelProgram.gcn(a, depth, sigma_b=0.1)) == 2
+    assert peak_arrays(KernelProgram.gin(a, depth)) == 2
+    assert peak_arrays(KernelProgram.mlp(depth)) == 2  # a unit Weight counts
+    assert peak_arrays(KernelProgram.sage(row, depth)) == 2
+    assert peak_arrays(KernelProgram.sage(row, depth, sigma_w1=0.5)) == 3
+    assert peak_arrays(KernelProgram.gcnii(a, depth)) == 3
+
+
+# peak of run_exact in N x N float64 arrays, within the count ``peak_arrays``
+# reads from the recipe and the row-tile buffers: the input kernel is
+# allocated before tracing starts, and every later input is dropped once its
+# block has read it, so a layer holds a block's input and output (plus the
+# gcnii skip, or the input sage's self branch keeps).  The third value, part
+# of each test's id, is the looser bound of a layer that kept its input
+# through GraphConv
 @pytest.mark.parametrize("arch, depth, bound", [
     ("gcn", 2, 3.1), ("gcn", 8, 3.1), ("mlp", 2, 3.1), ("gin", 2, 3.1),
     ("gcnii", 2, 4.1), ("sage", 2, 4.1),
 ])
 def test_run_exact_peak_memory(monkeypatch, arch, depth, bound):
-    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)  # tile buffers negligible
+    monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**14)
     n = 1000
     if arch == "mlp":
         prog = KernelProgram.mlp(depth, sigma_b=0.1)
@@ -382,3 +404,4 @@ def test_run_exact_peak_memory(monkeypatch, arch, depth, bound):
     finally:
         tracemalloc.stop()
     assert peak / (8.0 * n * n) <= bound
+    assert peak / (8.0 * n * n) <= precheck_nn(n, peak_arrays(prog)) + UNCOUNTED_NN
