@@ -35,8 +35,8 @@ reference, so it holds A K and the product; it transposes and symmetrises
 in place over square blocks.  No other N x N temporary is made.  Each
 block takes its input in such a list (``programs._drive`` hands it on that
 way); ``programs.peak_arrays`` counts from these rules the N x N arrays a
-program holds at once, and ``programs.require_memory`` adds the three
-tile buffers to them.  The low-rank activation factors the r x r
+program holds at once, and ``programs.checked_nn`` adds the three tile
+buffers to them.  The low-rank activation factors the r x r
 landmark block g(Q[a] Q[a]^T) first, then forms the k <= r pivot columns
 g(Q Q[S]^T), writes the ReLU expectation over them in place and multiplies
 them by L^{-T} in place, one row tile at a time; so it holds its input Q

@@ -188,6 +188,12 @@ def _rank1_gap(k: np.ndarray, scale: float, v: np.ndarray) -> float:
     return float(resid / norm)
 
 
+def scan_arrays(program: KernelProgram) -> int:
+    """N x N arrays a depth scan holds at once, K0 included: a layer's
+    (``peak_arrays``) beside the window of CAUCHY_LAG kernels, or mlp's K0."""
+    return (1 if program.a is None else CAUCHY_LAG) + peak_arrays(program)
+
+
 def depth_scan(program: KernelProgram, k0,
                per_layer: Optional[Callable[[int, np.ndarray], None]] = None) -> DepthTrace:
     """Run the program's exact recursion to its depth, recording diagnostics.
@@ -196,24 +202,23 @@ def depth_scan(program: KernelProgram, k0,
     the current kernel, only the last CAUCHY_LAG kernels stay alive, and
     the observer forms no N x N temporary.  ``k0`` is K0, or a one-element
     list holding it, which hands it over as ``run_exact`` takes it: it is
-    then dropped in layer 1, and the scan peaks at CAUCHY_LAG N x N arrays
-    beside those of a layer (``peak_arrays``), K0 among them, and at one
-    more when the caller keeps K0.  Any node count is accepted, but before
-    the first layer the scan raises ValueError when the arrays of its peak,
-    less the K0 that already exists, would not fit in the available
-    memory.  The operator must be symmetric, nonnegative, irreducible
-    (connected) and aperiodic (positive diagonal, which both normalizations
-    guarantee via their self-loops); the depth-limit statements assume
-    exactly that.  The optional ``per_layer`` callback sees each dense
-    kernel as it is produced.  A program with no operator (mlp) is
-    rejected; ``mlp_fixed_point`` scans the graph-free recursion.
+    then dropped in layer 1, and the scan peaks at ``scan_arrays`` N x N
+    arrays, K0 included, and at one more when the caller keeps K0.  Any
+    node count is accepted, but before the first layer the scan raises
+    ValueError when the arrays of its peak, less the K0 that already
+    exists, would not fit in the available memory.  The operator must
+    be symmetric, nonnegative, irreducible (connected) and aperiodic
+    (positive diagonal, which both normalizations guarantee via their
+    self-loops); the depth-limit statements assume exactly that.  The
+    optional ``per_layer`` callback sees each dense kernel as it is produced.
+    A program with no operator (mlp) is rejected; ``mlp_fixed_point`` scans
+    the graph-free recursion.
     """
     a = program.a
     if a is None:
         raise ValueError(f"depth scan needs a graph operator, and {program.architecture} "
                          "has none; mlp_fixed_point scans the graph-free recursion")
-    require_memory(a.n_nodes, CAUCHY_LAG + peak_arrays(program) - isinstance(k0, list),
-                   "depth scan")
+    require_memory(a.n_nodes, scan_arrays(program) - isinstance(k0, list), "depth scan")
     m = a.to_csr()
     asym = np.abs(m - m.T)
     if asym.nnz and asym.max() > 1e-12:

@@ -256,9 +256,8 @@ class _Token:
 
 
 def peak_arrays(program: KernelProgram) -> int:
-    """Representation arrays the program holds at once at its peak, the
-    start one included: N x N kernels on the dense path, n x width draws in
-    the sampler.
+    """Representation arrays the program holds at once, the start one
+    included: N x N kernels on the dense path, n x width draws in a sampler.
 
     Read from the recipe: ``_drive`` runs an applier that makes a weakly
     referenced token wherever an array would be, and Python frees the tokens
@@ -326,15 +325,22 @@ def available_memory() -> Optional[int]:
     return min(bounds) if bounds else None
 
 
+def checked_nn(n_nodes: int, n_arrays: float) -> float:
+    """What ``require_memory`` checks for ``n_arrays`` N x N float64 arrays,
+    in N x N arrays: those, 0.1 for the arrays of O(N) entries beside them
+    (the operator, per-node vectors; traced at up to 0.08 at 600-2000
+    nodes) and the ReLU's three row-tile buffers."""
+    return n_arrays + 0.1 + 3 * kernels._TILE_ELEMENTS / n_nodes**2
+
+
 def require_memory(n_nodes: int, n_arrays: float, what: str, remedy: str = "") -> None:
     """Raise ValueError when ``n_arrays`` N x N float64 arrays will not fit.
 
     Meant to run before the first N x N allocation of a dense computation;
-    it compares n_arrays * N^2 * 8 bytes, plus the three row-tile buffers of
-    the ReLU expectation, with ``available_memory()`` and checks nothing
-    when no bound can be read.  ``remedy`` ends the message.
+    it compares ``checked_nn`` N x N float64 arrays with ``available_memory()``
+    and checks nothing when no bound can be read.  ``remedy`` ends the message.
     """
-    need = 8.0 * (n_arrays * n_nodes**2 + 3 * kernels._TILE_ELEMENTS)
+    need = 8.0 * checked_nn(n_nodes, n_arrays) * n_nodes**2
     avail = available_memory()
     if avail is not None and need > avail:
         raise ValueError(

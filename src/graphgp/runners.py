@@ -36,7 +36,7 @@ from .inference import (
     training_targets,
 )
 from .kernels import LandmarkSet, base_inner, base_poly, base_rbf
-from .limits import CAUCHY_LAG, depth_scan, mlp_fixed_point
+from .limits import depth_scan, mlp_fixed_point, scan_arrays
 from .programs import (
     ARCHITECTURES,
     KernelProgram,
@@ -56,8 +56,8 @@ GAMMA_GRID = tuple(np.logspace(-2, 2, 9))
 # N x N float64 arrays an exact-path rbf infer holds at its peak: the gamma
 # search builds each candidate's kernel beside the best fit's, which no
 # layer recipe shows.  Traced at N = 1000, with tile buffers of 2^12 entries,
-# it peaked at 2.63.
-RBF_PEAK_NN = 2.7
+# it peaked at 2.63, its arrays of O(N) entries included.
+RBF_PEAK_NN = 2.6
 
 
 @dataclass
@@ -276,12 +276,9 @@ def run_infer(cfg: RunConfig) -> Report:
         landmarks = _pick_landmarks(cfg, ds.splits.train, ds.n_nodes)
     feats = _preprocess(cfg, ds, landmarks.count if landmarks else None)
     a = _operator_for(cfg.arch, ds)
-    if cfg.arch == "rbf":
-        program = None
-    elif cfg.arch == "ggp":  # one GraphConv, then Weight(1, 0), which passes it on
+    program = _program_for(cfg, a, sigma_b) if cfg.arch in ARCHITECTURES else None
+    if cfg.arch == "ggp":  # one GraphConv, then Weight(1, 0), which passes it on
         program = KernelProgram.gcn(a, 1)
-    else:
-        program = _program_for(cfg, a, sigma_b)
     if cfg.path == "exact":
         # fail before K0, the first N x N array, is made; the count includes it
         require_memory(ds.n_nodes, RBF_PEAK_NN if program is None else peak_arrays(program),
@@ -372,11 +369,8 @@ def run_depth_scan(cfg: RunConfig) -> Report:
     sigma_b = _default_sigma_b(cfg, task)
     feats = _preprocess(cfg, ds, None)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
-    # fail before K0, the first N x N array, is made; the count includes it.
-    # Beside a layer's arrays, a graph scan keeps its window of kernels, and
-    # ``mlp_fixed_point`` keeps K0
-    kept = 1 if program.a is None else CAUCHY_LAG
-    require_memory(ds.n_nodes, kept + peak_arrays(program), "depth scan")
+    # fail before K0, the first N x N array, is made; the count includes it
+    require_memory(ds.n_nodes, scan_arrays(program), "depth scan")
     # handed over in a list, so that a graph scan drops K0 in its first layer
     k0 = [_base_callable(cfg, cfg.gamma)(feats)]
     grid = _search_grid(cfg)
@@ -435,11 +429,10 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     sigma_b = _default_sigma_b(cfg, ds.task)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
     # fail before K0, the first N x N array, is made: the sampling plan's
-    # checks, then the memory count.  While it samples, mc-verify holds the
-    # analytic kernel, the running sum and a draw's z z^T beside the draw's
-    # n x width arrays, as many as a kernel build's N x N arrays, and a
-    # hidden layer's k x width normals, k the fan-in (below 4 N; a wider layer
-    # draws N x width).  The analytic kernel's build stays below that.
+    # checks, then the memory count.  A draw holds the analytic kernel, the
+    # running sum and z z^T beside its n x width arrays, as many as a build's
+    # N x N arrays, and a hidden layer's k x width normals, k the fan-in
+    # (below 4 N; a wider layer draws N x width).  The build stays below that.
     mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
     w = cfg.width / ds.n_nodes
     require_memory(ds.n_nodes, 3 + (peak_arrays(program) + min(w, 4.0)) * w, "mc-verify")

@@ -78,18 +78,6 @@ def ring_with_chords(n, extra=0, seed=0):
     return build_adjacency(np.asarray(edges), n)
 
 
-# Memory no pre-check counts, in N x N arrays: arrays of O(N) entries (the
-# operator, the splits, per-node vectors), which traced at 0.003-0.08 of an
-# N x N array at the 600-2000 nodes of the memory tests
-UNCOUNTED_NN = 0.1
-
-
-def precheck_nn(n, arrays):
-    """What ``require_memory`` checks for ``arrays`` N x N arrays, in N x N
-    arrays: those and the three row-tile buffers of the ReLU expectation."""
-    return arrays + 3 * kernels._TILE_ELEMENTS / n**2
-
-
 def sym_operator(n, extra=0, seed=0):
     return normalize_sym(ring_with_chords(n, extra, seed))
 

@@ -34,7 +34,7 @@ from graphgp import cli, kernels, limits, programs, runners
 from graphgp.cli import main
 from graphgp.runners import ARCH_CHOICES, RunConfig, run_benchmark
 
-from conftest import FIXTURE_DIR, UNCOUNTED_NN, precheck_nn
+from conftest import FIXTURE_DIR
 
 GOLDEN_SCHEMA = os.path.join(os.path.dirname(__file__), "data", "infer_schema.txt")
 GOLDEN_REPORTS = os.path.join(os.path.dirname(__file__), "data", "fixture_reports.txt")
@@ -743,14 +743,13 @@ def preloaded(monkeypatch, n, **kwargs):
 
 
 def traced_run(monkeypatch, run, cfg, n):
-    """``run(cfg)``'s traced peak and the count of its memory pre-check, both
-    in N x N float64 arrays (the pre-check's with its row-tile buffers),
-    and its report."""
+    """``run(cfg)``'s traced peak and what its memory pre-check checks
+    (``checked_nn``), both in N x N float64 arrays, and its report."""
     counts = []
     check = runners.require_memory
 
     def spy(n_nodes, n_arrays, *args):
-        counts.append(precheck_nn(n_nodes, n_arrays))
+        counts.append(programs.checked_nn(n_nodes, n_arrays))
         check(n_nodes, n_arrays, *args)
 
     monkeypatch.setattr(runners, "require_memory", spy)
@@ -785,10 +784,10 @@ def test_infer_exact_peak_memory_counts_k0(monkeypatch, arch, depth, bound):
                     sigma_w1=0.5)
     peak, count, _ = traced_run(monkeypatch, runners.run_infer, cfg, n)
     assert peak <= bound
-    assert peak <= count + UNCOUNTED_NN
+    assert peak <= count
     # 2 N x N arrays a layer, 3 with a gcnii skip or a sage self branch
     arrays = {"gcnii": 3, "sage": 3, "rbf": runners.RBF_PEAK_NN}.get(arch, 2)
-    assert count == precheck_nn(n, arrays)
+    assert count == programs.checked_nn(n, arrays)
 
 
 # the same for infer and scans at the default row tiles, whose three buffers
@@ -805,7 +804,7 @@ def test_peak_memory_within_its_count_at_default_tiles(monkeypatch, command, fla
     cfg = preloaded(monkeypatch, n, sigma_w=1.2, sigma_b=0.1, **flags)
     run = runners.run_infer if command == "infer" else runners.run_depth_scan
     peak, count, _ = traced_run(monkeypatch, run, cfg, n)
-    assert peak <= count + UNCOUNTED_NN
+    assert peak <= count
 
 
 # peak of a low-rank infer in N x r float64 arrays (r the landmark count): a
@@ -842,7 +841,7 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
     n = 500
     cfg = preloaded(monkeypatch, n, arch=arch)
     count = {"gcn": 2, "gcnii": 3, "rbf": runners.RBF_PEAK_NN}[arch]
-    need = math.ceil(8.0 * (count * n**2 + 3 * kernels._TILE_ELEMENTS))
+    need = math.ceil(8.0 * programs.checked_nn(n, count) * n**2)
     monkeypatch.setattr(programs, "available_memory", lambda: need - 1)
     tracemalloc.start()
     try:
@@ -884,7 +883,7 @@ def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags)
     if command == "depth-scan":
         assert report.scalars["regime"] == ("supercritical" if "sigma_w" in flags else
                                             "subcritical")
-    assert peak <= count + UNCOUNTED_NN
+    assert peak <= count
 
 
 # peak of a graph depth scan in N x N float64 arrays, K0 made inside the
@@ -898,8 +897,8 @@ def test_depth_scan_peak_memory_drops_k0(monkeypatch, arch, in_flight):
     n = 600
     cfg = preloaded(monkeypatch, n, arch=arch, layers=12, sigma_b=0.1, nugget=0.1)
     peak, count, _ = traced_run(monkeypatch, runners.run_depth_scan, cfg, n)
-    assert peak <= count + UNCOUNTED_NN
-    assert count == precheck_nn(n, limits.CAUCHY_LAG + in_flight)
+    assert peak <= count
+    assert count == programs.checked_nn(n, limits.CAUCHY_LAG + in_flight)
 
 
 @pytest.mark.parametrize("command, arch", [
@@ -918,7 +917,7 @@ def test_dense_diagnostics_reject_large_graphs_before_k0(monkeypatch, command, a
     else:
         # K0, which mlp_fixed_point keeps, beside a layer's input and output
         run, count = runners.run_depth_scan, 3
-    need = math.ceil(8.0 * (count * n**2 + 3 * kernels._TILE_ELEMENTS))
+    need = math.ceil(8.0 * programs.checked_nn(n, count) * n**2)
     monkeypatch.setattr(programs, "available_memory", lambda: need - 1)
     tracemalloc.start()
     try:

@@ -1,3 +1,4 @@
+import math
 import re
 import tracemalloc
 
@@ -14,12 +15,9 @@ from graphgp import (
     mlp_recursion,
     normalize_sym,
 )
-from graphgp.programs import peak_arrays
 
 from conftest import (
-    UNCOUNTED_NN,
     every_layer,
-    precheck_nn,
     random_features,
     random_psd,
     row_operator,
@@ -47,8 +45,8 @@ def test_scan_rejects_large_graphs(monkeypatch):
     for handed in (True, False):
         # the window and a layer's 2 arrays, K0 among them when handed over
         arrays = limits.CAUCHY_LAG + 2 - handed
-        need = 8.0 * (arrays * n * n + 3 * kernels._TILE_ELEMENTS)
-        monkeypatch.setattr(programs, "available_memory", lambda: int(need) - 1)
+        need = math.ceil(8.0 * programs.checked_nn(n, arrays) * n**2)
+        monkeypatch.setattr(programs, "available_memory", lambda: need - 1)
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=re.escape(
@@ -58,7 +56,7 @@ def test_scan_rejects_large_graphs(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak / (8.0 * n * n) <= 0.1
-        monkeypatch.setattr(programs, "available_memory", lambda: int(need))
+        monkeypatch.setattr(programs, "available_memory", lambda: need)
         assert depth_scan(prog, [k0] if handed else k0).layers.size == 2
 
 
@@ -400,8 +398,8 @@ def test_scan_peak_within_its_estimate(monkeypatch, arch):
         peak = tracemalloc.get_traced_memory()[1] / (8.0 * n * n)
     finally:
         tracemalloc.stop()
-    count = precheck_nn(n, 1 + limits.CAUCHY_LAG + peak_arrays(prog))
-    assert limits.CAUCHY_LAG + 3 <= peak <= count + UNCOUNTED_NN
+    count = programs.checked_nn(n, 1 + limits.scan_arrays(prog))
+    assert limits.CAUCHY_LAG + 3 <= peak <= count
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,10 @@ from graphgp import (
     sample_covariance,
     synthetic_dataset,
 )
-from graphgp.programs import peak_arrays
+from graphgp.programs import checked_nn, peak_arrays
 
 from conftest import (
-    UNCOUNTED_NN,
     every_layer,
-    precheck_nn,
     random_features,
     row_operator,
     sym_operator,
@@ -374,8 +372,8 @@ def test_peak_arrays_reads_the_recipe(depth):
     assert peak_arrays(KernelProgram.gcnii(a, depth)) == 3
 
 
-# peak of run_exact in N x N float64 arrays, within the count ``peak_arrays``
-# reads from the recipe and the row-tile buffers: the input kernel is
+# peak of run_exact in N x N float64 arrays, within what the pre-check checks
+# for the count ``peak_arrays`` reads from the recipe: the input kernel is
 # allocated before tracing starts, and every later input is dropped once its
 # block has read it, so a layer holds a block's input and output (plus the
 # gcnii skip, or the input sage's self branch keeps).  The third value, part
@@ -404,4 +402,4 @@ def test_run_exact_peak_memory(monkeypatch, arch, depth, bound):
     finally:
         tracemalloc.stop()
     assert peak / (8.0 * n * n) <= bound
-    assert peak / (8.0 * n * n) <= precheck_nn(n, peak_arrays(prog)) + UNCOUNTED_NN
+    assert peak / (8.0 * n * n) <= checked_nn(n, peak_arrays(prog))
