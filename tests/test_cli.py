@@ -69,6 +69,23 @@ GOLDEN_RUNS = (
       for path in ("exact", "lowrank")),
     # ggp's one GraphConv on the factor
     ("infer", "--arch", "ggp", "--path", "lowrank", "--poly-c", "2", "--poly-d", "2"),
+    # every layered architecture through the pivoted Nystrom factor
+    *(("infer", "--arch", arch, "--path", "lowrank") for arch in ("gcnii", "gin", "sage", "mlp")),
+    *(("infer", "--arch", arch, "--path", path, "--sigma-w", "1.5", "--sigma-b", "0.3")
+      for arch, path in (("gin", "lowrank"), ("mlp", "exact"), ("mlp", "lowrank"))),
+    # feature preprocessing and the base kernels at their default parameters
+    *(("infer", "--path", "lowrank", *flags)
+      for flags in (("--pca", "1"), ("--center",), ("--base", "rbf"), ("--base", "poly"))),
+    ("infer", "--base", "rbf"),
+    ("infer", "--base", "poly"),
+    ("infer", "--arch", "sage", "--layers", "3", "--sigma-w", "1.5", "--center",
+     "--nugget-grid", "0.01,1,5"),
+    *(("depth-scan", "--arch", arch, "--layers", "20") for arch in ("gcn", "gcnii", "mlp")),
+    # the sampler draws every layered network, each with a ReLU between two maps
+    *(("mc-verify", "--arch", arch, "--layers", "3", "--width", "64", "--samples", "5")
+      for arch in ("gcn", "gcnii", "gin", "sage", "mlp")),
+    ("mc-verify", "--arch", "gin", "--layers", "3", "--width", "64", "--samples", "5",
+     "--sigma-b", "0.3"),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
