@@ -185,14 +185,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             cfg = resolve_config(args)
             report = SUBCOMMANDS[args.command][0](cfg)
+            sys.stdout.write(report.to_text())
+            if cfg.out:
+                report.write(cfg.out)
+                print(f"report written to {cfg.out}", file=sys.stderr)
         except (ValueError, OSError, FactorizationError, PowerIterationError) as err:
             print(f"error: {err}", file=sys.stderr)
             return 1
-        text = report.to_text()
-        sys.stdout.write(text)
-        if cfg.out:
-            report.write(cfg.out)
-            print(f"report written to {cfg.out}", file=sys.stderr)
         return 0
     finally:
         warnings.formatwarning = previous

@@ -118,14 +118,16 @@ def _load_splits(path: str) -> SplitIndices:
             blob = json.load(fh)
         except json.JSONDecodeError as err:
             raise ValueError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(blob, dict):
+        raise ValueError(f"{path}: expected a JSON object of split arrays")
     missing = {"train", "val", "test"} - set(blob)
     if missing:
         raise ValueError(f"{path}: missing split arrays {sorted(missing)}")
-    return SplitIndices(
-        np.asarray(blob["train"], dtype=np.int64),
-        np.asarray(blob["val"], dtype=np.int64),
-        np.asarray(blob["test"], dtype=np.int64),
-    )
+    for name in ("train", "val", "test"):
+        if not isinstance(blob[name], list) or any(type(i) is not int for i in blob[name]):
+            raise ValueError(f"{path}: {name!r} must be an array of integer node ids")
+    return SplitIndices(*(np.asarray(blob[name], dtype=np.int64)
+                          for name in ("train", "val", "test")))
 
 
 def _need(directory: str, name: str, *alternatives: str) -> str:

@@ -60,7 +60,7 @@ from functools import partial
 import numpy as np
 
 from .kernels import Activation, GraphConv, IndependentAdd, Weight, _take
-from .programs import KernelProgram, _drive
+from .programs import KernelProgram, _drive, peak_arrays
 
 
 @dataclass(frozen=True)
@@ -85,6 +85,21 @@ class McConfig:
             raise ValueError("need at least one sample")
 
 
+def _through_root(n: int, k: int) -> bool:
+    """Whether a layer whose column factor is n x k draws through the n x n root."""
+    return 4 * n <= k
+
+
+def draw_arrays(program: KernelProgram, n: int, fan_in: int, width: int) -> float:
+    """N x N arrays (N = n) ``sample_covariance`` holds at its peak: the running
+    sum, z z^T, a build's count of n x width draws, and one layer's normals.  A
+    layer of fan-in k (``fan_in`` features, then ``width``) draws k x width, or
+    n x width beside the root's 4 n x n arrays (C, eigh's copy and work, root)."""
+    w = width / n
+    return 2 + peak_arrays(program) * w + max(
+        w + 4 if _through_root(n, j) else k * w / n for k in (fan_in, width) for j in (k, k + 1))
+
+
 def _linear_draw(m: np.ndarray, sigma_w: float, sigma_b: float, width: int,
                  rng) -> np.ndarray:
     """Output (n x width) of one Gaussian linear layer given its input ``m``.
@@ -100,7 +115,7 @@ def _linear_draw(m: np.ndarray, sigma_w: float, sigma_b: float, width: int,
     """
     n, fan_in = m.shape
     k = fan_in + (sigma_b > 0)
-    if 4 * n <= k:
+    if _through_root(n, k):
         c = sigma_w * sigma_w / fan_in * (m @ m.T) + sigma_b**2
         vals, vecs = np.linalg.eigh(c)
         root = vecs * np.sqrt(np.maximum(vals, 0.0))

@@ -28,7 +28,7 @@ from .datasets import (
     save_splits,
     synthetic_dataset,
 )
-from .finite_width import McConfig, compare_covariance, sample_covariance
+from .finite_width import McConfig, compare_covariance, draw_arrays, sample_covariance
 from .inference import (
     default_nugget_grid,
     nugget_search,
@@ -428,14 +428,11 @@ def run_mc_verify(cfg: RunConfig) -> Report:
     ds = load_dataset(cfg.dataset)
     sigma_b = _default_sigma_b(cfg, ds.task)
     program = _program_for(cfg, _operator_for(cfg.arch, ds), sigma_b)
-    # fail before K0, the first N x N array, is made: the sampling plan's
-    # checks, then the memory count.  A draw holds the analytic kernel, the
-    # running sum and z z^T beside its n x width arrays, as many as a build's
-    # N x N arrays, and a hidden layer's k x width normals, k the fan-in
-    # (below 4 N; a wider layer draws N x width).  The build stays below that.
+    # fail before K0, the first N x N array, is made: the sampling plan's checks,
+    # then the memory count, the analytic kernel beside the sampler's arrays
     mc = McConfig(program, cfg.width, cfg.samples, cfg.seed)
-    w = cfg.width / ds.n_nodes
-    require_memory(ds.n_nodes, 3 + (peak_arrays(program) + min(w, 4.0)) * w, "mc-verify")
+    require_memory(ds.n_nodes, 1 + draw_arrays(program, *ds.features.shape, cfg.width),
+                   "mc-verify")
     analytic = run_exact(program, [base_inner(ds.features)])
     empirical = sample_covariance(mc, ds.features)
     err = compare_covariance(empirical, analytic)

@@ -136,7 +136,9 @@ def fixture_reports():
     '# graphgp ...' line naming the run.
 
     tests/data/fixture_reports.txt holds this text.  Rewriting that file is
-    a deliberate change of report bytes, recorded in CHANGES.md.
+    a deliberate change of report bytes, recorded in CHANGES.md; a new run
+    is appended to GOLDEN_RUNS, and its block to the file.  Under the
+    suite's RuntimeWarning rule no run may warn of a numerical fault.
     """
     parts = []
     for args in GOLDEN_RUNS:
@@ -162,6 +164,20 @@ def test_fixture_reports_match_golden():
         for g, w in zip(got_parts[1::2], want_parts[1::2]):
             assert math.isclose(float(g), float(w), rel_tol=1e-9, abs_tol=1e-14), (
                 got_line, want_line)
+
+
+# runs on graphs larger than the fixture: depth scans take the Lanczos
+# top-two ratio above its SVD cutoff, and the low-rank infer's 3000 x 100
+# factor is two row tiles and two column blocks of L^{-T}, each last one ragged
+@pytest.mark.parametrize("n, data, args", [
+    (400, {"n_features": 32, "n_classes": 2}, ("depth-scan", "--arch", "gcn", "--layers", "8")),
+    (400, {"n_features": 32, "n_classes": 2}, ("depth-scan", "--arch", "gcnii", "--layers", "8")),
+    (3000, {}, ("infer", "--path", "lowrank", "--landmarks", "100")),
+], ids=["depth-scan-gcn-400", "depth-scan-gcnii-400", "infer-lowrank-3000"])
+def test_runs_beyond_the_fixture(n, data, args, tmp_path, capsys):
+    save_dataset(synthetic_dataset(n, seed=0, **data), str(tmp_path / "ds"))
+    code, _, err = run_cli(capsys, *args, "--dataset", str(tmp_path / "ds"))
+    assert (code, err) == (0, "")
 
 
 def test_infer_is_reproducible_outside_timing(capsys):
@@ -477,6 +493,14 @@ def test_out_writes_the_report(tmp_path, capsys):
     assert code == 0
     with open(path, encoding="utf-8") as fh:
         assert fh.read() == out
+    assert path in err
+
+
+def test_unwritable_out_is_one_error_line(tmp_path, capsys):
+    path = str(tmp_path / "missing" / "report.txt")
+    code, _, err = run_cli(capsys, "infer", "--dataset", FIXTURE_DIR, "--out", path)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
 
 
@@ -888,8 +912,10 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
     ("mc-verify", dict(arch="gcnii", width=3000, layers=3)),  # the skip beside a draw
     ("depth-scan", dict(arch="mlp", layers=8)),
     ("depth-scan", dict(arch="mlp", layers=8, sigma_w=2.0)),
+    ("mc-verify", dict(arch="gcn", width=4000, n=200)),
+    ("mc-verify", dict(arch="gin", width=2000, n=200, layers=3)),
 ], ids=["mc-gcn", "mc-gcnii", "mc-gcn-wide", "mc-sage-wide", "mc-gcn-n-by-n-root",
-        "mc-gcnii-3n", "mlp-sub", "mlp-super"])
+        "mc-gcnii-3n", "mlp-sub", "mlp-super", "mc-gcn-n-by-n-root-20n", "mc-gin-n-by-n-root"])
 def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags):
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)
     flags = dict(flags)
@@ -900,6 +926,9 @@ def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags)
     if command == "depth-scan":
         assert report.scalars["regime"] == ("supercritical" if "sigma_w" in flags else
                                             "subcritical")
+    else:
+        # and close to it, so that mc-verify refuses no run that fits
+        assert count <= peak + 3
     assert peak <= count
 
 

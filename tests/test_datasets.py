@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -149,6 +150,24 @@ def test_splits_json_errors(tmp_path):
     )
     with pytest.raises(ValueError, match=r"missing split arrays \['val'\]"):
         load_dataset(d2)
+
+
+@pytest.mark.parametrize("text", [
+    "5",
+    '{"train": [0.7, 1.2], "val": [1], "test": [2]}',
+    '{"train": [0], "val": ["a"], "test": [2]}',
+    '{"train": [0], "val": [1], "test": [true]}',
+], ids=["not-an-object", "float-ids", "string-id", "bool-id"])
+def test_malformed_splits_name_the_file(tmp_path, text):
+    # a float id would be truncated by the int cast, and a bool is an int
+    d = write_fixture_copy(tmp_path, **{"splits.json": text})
+    with pytest.raises(ValueError, match="^" + re.escape(os.path.join(d, "splits.json"))):
+        load_dataset(d)
+
+
+def test_empty_split_array_loads(tmp_path):
+    d = write_fixture_copy(tmp_path, **{"splits.json": '{"train": [0], "val": [], "test": [2]}'})
+    assert load_dataset(d).splits.val.size == 0
 
 
 def test_out_of_range_split_rejected(tmp_path):

