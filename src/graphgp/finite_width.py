@@ -92,7 +92,7 @@ def _through_root(n: int, k: int) -> bool:
 
 def draw_arrays(program: KernelProgram, n: int, fan_in: int, width: int) -> float:
     """N x N arrays (N = n) ``sample_covariance`` holds at its peak: the running
-    sum, z z^T, a build's count of n x width draws, and one layer's normals.  A
+    sum, z z^T, ``peak_arrays`` n x width draws, and one layer's normals.  A
     layer of fan-in k (``fan_in`` features, then ``width``) draws k x width, or
     n x width beside the root's 4 n x n arrays (C, eigh's copy and work, root)."""
     w = width / n
