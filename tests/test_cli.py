@@ -86,6 +86,8 @@ GOLDEN_RUNS = (
       for arch in ("gcn", "gcnii", "gin", "sage", "mlp")),
     ("mc-verify", "--arch", "gin", "--layers", "3", "--width", "64", "--samples", "5",
      "--sigma-b", "0.3"),
+    # ggp's one GraphConv on the factor, at the default poly parameters
+    ("infer", "--arch", "ggp", "--path", "lowrank"),
 )
 NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
 
