@@ -124,10 +124,10 @@ def _load_splits(path: str) -> SplitIndices:
     if missing:
         raise ValueError(f"{path}: missing split arrays {sorted(missing)}")
     for name in ("train", "val", "test"):
-        if not isinstance(blob[name], list) or any(type(i) is not int for i in blob[name]):
-            raise ValueError(f"{path}: {name!r} must be an array of integer node ids")
-    return SplitIndices(*(np.asarray(blob[name], dtype=np.int64)
-                          for name in ("train", "val", "test")))
+        ids = blob[name]
+        if not isinstance(ids, list) or any(type(i) is not int or abs(i) >= 2**63 for i in ids):
+            raise ValueError(f"{path}: {name!r} must be an array of int64 node ids")
+    return SplitIndices(*(np.asarray(blob[n], dtype=np.int64) for n in ("train", "val", "test")))
 
 
 def _need(directory: str, name: str, *alternatives: str) -> str:

@@ -90,14 +90,16 @@ def _through_root(n: int, k: int) -> bool:
     return 4 * n <= k
 
 
-def draw_arrays(program: KernelProgram, n: int, fan_in: int, width: int) -> float:
-    """N x N arrays (N = n) ``sample_covariance`` holds at its peak: the running
-    sum, z z^T, ``peak_arrays`` n x width draws, and one layer's normals.  A
-    layer of fan-in k (``fan_in`` features, then ``width``) draws k x width, or
+def draw_arrays(program: KernelProgram, n: int, d: int, width: int) -> float:
+    """N x N arrays (N = n) ``sample_covariance`` holds at its peak on d features:
+    the running sum, z z^T, ``peak_arrays`` representations of n x max(d, width)
+    (n x d up to the first draw), and one layer's normals.  A layer whose column
+    factor is n x k (k = d in the first layer, width after it, plus one with the
+    program's bias, which gcnii and sage do not draw) draws k x width normals, or
     n x width beside the root's 4 n x n arrays (C, eigh's copy and work, root)."""
-    w = width / n
-    return 2 + peak_arrays(program) * w + max(
-        w + 4 if _through_root(n, j) else k * w / n for k in (fan_in, width) for j in (k, k + 1))
+    w, bias = width / n, program.sigma_b > 0
+    normals = [w + 4 if _through_root(n, k) else k * w / n for k in (d + bias, width + bias)]
+    return 2 + peak_arrays(program) * max(d, width) / n + max(normals)
 
 
 def _linear_draw(m: np.ndarray, sigma_w: float, sigma_b: float, width: int,

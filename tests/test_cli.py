@@ -777,10 +777,10 @@ def test_nugget_grid_needs_a_point(capsys):
     assert "POINTS >= 1" in err
 
 
-def preloaded(monkeypatch, n, **kwargs):
+def preloaded(monkeypatch, n, n_features=16, **kwargs):
     """A RunConfig whose dataset is a synthetic graph already in memory, so
     that a traced run_infer makes nothing but its own arrays."""
-    ds = synthetic_dataset(n, n_features=16, n_classes=2, seed=0)
+    ds = synthetic_dataset(n, n_features=n_features, n_classes=2, seed=0)
     monkeypatch.setattr(runners, "load_dataset", lambda path: ds)
     return RunConfig(dataset="preloaded", **kwargs)
 
@@ -906,7 +906,8 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
 
 # peak of mc-verify and of an mlp depth scan in N x N float64 arrays, K0 made
 # inside the traced window, within the pre-flight count; mc-verify's grows
-# with width / N, for the draws' n x width arrays
+# with max(d, width) / N, for the draws' n x width arrays and the first
+# layer's n x d ones (d features)
 @pytest.mark.parametrize("command, flags", [
     ("mc-verify", dict(arch="gcn", width=64)), ("mc-verify", dict(arch="gcnii", width=64)),
     ("mc-verify", dict(arch="gcn", width=1000)), ("mc-verify", dict(arch="sage", width=1000)),
@@ -916,8 +917,10 @@ def test_infer_exact_rejects_large_graphs_before_k0(monkeypatch, arch):
     ("depth-scan", dict(arch="mlp", layers=8, sigma_w=2.0)),
     ("mc-verify", dict(arch="gcn", width=4000, n=200)),
     ("mc-verify", dict(arch="gin", width=2000, n=200, layers=3)),
+    ("mc-verify", dict(arch="gcn", width=64, n_features=1500)),  # A X wider than a draw
 ], ids=["mc-gcn", "mc-gcnii", "mc-gcn-wide", "mc-sage-wide", "mc-gcn-n-by-n-root",
-        "mc-gcnii-3n", "mlp-sub", "mlp-super", "mc-gcn-n-by-n-root-20n", "mc-gin-n-by-n-root"])
+        "mc-gcnii-3n", "mlp-sub", "mlp-super", "mc-gcn-n-by-n-root-20n", "mc-gin-n-by-n-root",
+        "mc-gcn-features-above-width"])
 def test_dense_diagnostics_peak_within_their_counts(monkeypatch, command, flags):
     monkeypatch.setattr(kernels, "_TILE_ELEMENTS", 2**12)
     flags = dict(flags)

@@ -157,9 +157,11 @@ def test_splits_json_errors(tmp_path):
     '{"train": [0.7, 1.2], "val": [1], "test": [2]}',
     '{"train": [0], "val": ["a"], "test": [2]}',
     '{"train": [0], "val": [1], "test": [true]}',
-], ids=["not-an-object", "float-ids", "string-id", "bool-id"])
+    '{"train": [0], "val": [1], "test": [100000000000000000000]}',
+], ids=["not-an-object", "float-ids", "string-id", "bool-id", "beyond-int64"])
 def test_malformed_splits_name_the_file(tmp_path, text):
-    # a float id would be truncated by the int cast, and a bool is an int
+    # a float id would be truncated by the int cast, a bool is an int, and an
+    # id beyond int64 would overflow it
     d = write_fixture_copy(tmp_path, **{"splits.json": text})
     with pytest.raises(ValueError, match="^" + re.escape(os.path.join(d, "splits.json"))):
         load_dataset(d)
